@@ -10,6 +10,7 @@ from .arnold import (
 )
 from .errors import (
     DomainError,
+    InvalidLimit,
     ModGrobError,
     NonMember,
     NotCoprime,

@@ -64,7 +64,7 @@ def _parse_order_flag(text):
 def _load_problem(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
     return parse_problem(text)
 
@@ -75,7 +75,7 @@ def _retarget(polys, new_ring):
 
 
 def _limits(args):
-    if getattr(args, "max_pairs", None):
+    if getattr(args, "max_pairs", None) is not None:
         return Limits(max_pairs=args.max_pairs)
     return Limits.from_environment()
 

@@ -45,6 +45,10 @@ class OracleFailure(ModGrobError):
     """The supplied oracle returned an answer the checker cannot use."""
 
 
+class InvalidLimit(ModGrobError):
+    """A budget, from a flag or from the environment, is not an integer >= 0."""
+
+
 class ResourceLimitExceeded(ModGrobError):
     """Completion exceeded the configured pair or reduction budget."""
 

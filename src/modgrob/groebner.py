@@ -15,8 +15,15 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, neg, sub
 
-from .errors import DomainError, ResourceLimitExceeded, RingMismatch, ZeroPolynomial
+from .errors import (
+    DomainError,
+    InvalidLimit,
+    ResourceLimitExceeded,
+    RingMismatch,
+    ZeroPolynomial,
+)
 from .intarith import ext_gcd
 from .polyring import (
     IntegerDomain,
@@ -55,12 +62,21 @@ class Limits:
     max_pairs: int = 50_000
     max_reductions: int = 50_000_000
 
+    def __post_init__(self):
+        if self.max_pairs < 0:
+            raise InvalidLimit(f"pair budget must be >= 0, got {self.max_pairs}")
+
     @staticmethod
     def from_environment():
         cap = os.environ.get("MODGROB_MAX_PAIRS")
         if cap is None:
             return Limits()
-        return Limits(max_pairs=int(cap))
+        try:
+            max_pairs = int(cap)
+        except ValueError:
+            raise InvalidLimit(
+                f"MODGROB_MAX_PAIRS must be an integer >= 0, got {cap!r}") from None
+        return Limits(max_pairs=max_pairs)
 
 
 DEFAULT_LIMITS = Limits()
@@ -128,54 +144,80 @@ def _reduce(f, reducers, want_quotients=False, budget=None):
     is the canonical residue for every applicable lead coefficient.
 
     The current largest monomial comes from a lazy max-heap (entries whose
-    monomial dropped out of the working dict are skipped on pop), so keys
-    are computed once per introduced monomial instead of once per sweep.
+    monomial dropped out of the working dict are skipped on pop).  Each
+    monomial's negated order key is computed once per call and kept in a
+    dict that dies with the call.  Monomial arithmetic is inlined as
+    ``map`` over ``operator`` functions, and new coefficients are only
+    reduced mod m over ZZ/m: int and Fraction arithmetic is already
+    canonical over ZZ and QQ.
     """
     dom = f.ring.domain
+    coeff_divmod = dom.coeff_divmod
+    modulus = dom.modulus if isinstance(dom, ModularDomain) else None
     key = monomial_key(f.ring.order)
-    leads = [(leading_monomial(g), leading_coefficient(g)) for g in reducers]
+    leads = []
+    for g in reducers:
+        lc, lm = leading_term(g)
+        leads.append((lm, lc, g.terms[1:]))
     work = {mono: c for c, mono in f.terms}
-    heap = [(tuple(-v for v in key(mono)), mono) for mono in work]
+    negkeys = {mono: tuple(map(neg, key(mono))) for mono in work}
+    heap = [(nk, mono) for mono, nk in negkeys.items()]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     rem = []
     quotients = [{} for _ in reducers] if want_quotients else None
     while heap:
-        negkey, mono = heapq.heappop(heap)
+        negkey, mono = heappop(heap)
         c = work.get(mono)
         if c is None:
             continue
-        progressed = False
-        for idx, (gm, gc) in enumerate(leads):
-            if not monomial_divides(gm, mono):
+        for idx, (gm, gc, gtail) in enumerate(leads):
+            if not all(map(le, gm, mono)):
                 continue
-            q, _ = dom.coeff_divmod(c, gc)
+            q, _ = coeff_divmod(c, gc)
             if q == 0:
                 continue
             if budget is not None:
                 budget.reduction()
-            shift = monomial_div(mono, gm)
-            for tc, tm in reducers[idx].terms:
-                target = monomial_mul(tm, shift)
+            # The lead term lands on mono itself, every other term below it.
+            c -= q * gc
+            shift = tuple(map(sub, mono, gm))
+            for tc, tm in gtail:
+                target = tuple(map(add, tm, shift))
                 old = work.get(target)
-                v = dom.normalize((old or 0) - q * tc)
-                if v == 0:
-                    if old is not None:
-                        del work[target]
-                elif old is None:
-                    work[target] = v
-                    heapq.heappush(heap, (tuple(-u for u in key(target)), target))
+                if old is None:
+                    v = -q * tc
+                    if modulus is not None:
+                        v %= modulus
+                    if v != 0:
+                        work[target] = v
+                        nk = negkeys.get(target)
+                        if nk is None:
+                            nk = negkeys[target] = tuple(map(neg, key(target)))
+                        heappush(heap, (nk, target))
                 else:
-                    work[target] = v
+                    v = old - q * tc
+                    if modulus is not None:
+                        v %= modulus
+                    if v == 0:
+                        del work[target]
+                    else:
+                        work[target] = v
             if want_quotients:
                 quotients[idx][shift] = quotients[idx].get(shift, 0) + q
-            progressed = True
             break
-        if not progressed:
+        else:
             rem.append((c, mono))
             del work[mono]
-        elif mono in work:
+            continue
+        if modulus is not None:
+            c %= modulus
+        if c == 0:
+            del work[mono]
+        else:
             # partially reduced lead coefficient: revisit the same monomial
-            heapq.heappush(heap, (negkey, mono))
+            work[mono] = c
+            heappush(heap, (negkey, mono))
     remainder = Polynomial(f.ring, tuple(rem))
     if want_quotients:
         qpolys = [Polynomial.from_terms(f.ring, [(c, m) for m, c in qd.items()])

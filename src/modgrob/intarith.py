@@ -66,7 +66,8 @@ def crt_coefficients(moduli):
         g, u, v = ext_gcd(g, c)
         coeffs = [u * w for w in coeffs]
         coeffs.append(v)
-    assert g == 1
+    if g != 1:
+        raise NotCoprime(f"cofactors of {moduli} have gcd {g}")
     return coeffs
 
 

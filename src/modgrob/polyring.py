@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import neg
 
 from .errors import DomainError, RingMismatch, ZeroPolynomial
 from .intarith import is_prime
@@ -144,20 +145,24 @@ def monomial_key(order):
         return lambda e: e
     if isinstance(order, DegRevLex):
         def key(e):
-            out = [sum(e)]
-            out.extend(-x for x in reversed(e))
-            return tuple(out)
+            return (sum(e), *map(neg, reversed(e)))
         return key
     if isinstance(order, Block):
         front = order.front
-        front_set = set(front)
         fkey = monomial_key(order.front_order)
         bkey = monomial_key(order.back_order)
+        cut = max(front, default=-1) + 1
+        if front == tuple(range(cut)):
+            # the front is a prefix, as the Y of a saturation is
+            def key(e):
+                return fkey(e[:cut]) + bkey(e[cut:])
+            return key
+        skipped = tuple(i for i in range(cut) if i not in front)
 
         def key(e):
-            fsub = tuple(e[i] for i in front)
-            bsub = tuple(x for i, x in enumerate(e) if i not in front_set)
-            return fkey(fsub) + bkey(bsub)
+            pick = e.__getitem__
+            return (fkey(tuple(map(pick, front)))
+                    + bkey(tuple(map(pick, skipped)) + e[cut:]))
         return key
     raise TypeError(f"unknown term order {order!r}")
 
@@ -308,25 +313,36 @@ def _same_ring(f, g):
 def poly_add(f, g):
     _same_ring(f, g)
     key = monomial_key(f.ring.order)
-    dom = f.ring.domain
+    normalize = f.ring.domain.normalize
     out = []
     ft, gt = f.terms, g.terms
+    nf, ng = len(ft), len(gt)
     i = j = 0
-    while i < len(ft) and j < len(gt):
-        cf, mf = ft[i]
-        cg, mg = gt[j]
-        if mf == mg:
-            c = dom.normalize(cf + cg)
-            if c != 0:
-                out.append((c, mf))
-            i += 1
-            j += 1
-        elif key(mf) > key(mg):
-            out.append(ft[i])
-            i += 1
-        else:
-            out.append(gt[j])
-            j += 1
+    # Order keys are injective, so equal keys mean equal monomials.
+    if nf and ng:
+        kf, kg = key(ft[0][1]), key(gt[0][1])
+        while True:
+            if kf > kg:
+                out.append(ft[i])
+                i += 1
+                if i == nf:
+                    break
+                kf = key(ft[i][1])
+            elif kf < kg:
+                out.append(gt[j])
+                j += 1
+                if j == ng:
+                    break
+                kg = key(gt[j][1])
+            else:
+                c = normalize(ft[i][0] + gt[j][0])
+                if c != 0:
+                    out.append((c, ft[i][1]))
+                i += 1
+                j += 1
+                if i == nf or j == ng:
+                    break
+                kf, kg = key(ft[i][1]), key(gt[j][1])
     out.extend(ft[i:])
     out.extend(gt[j:])
     return Polynomial(f.ring, tuple(out))

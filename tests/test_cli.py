@@ -192,6 +192,45 @@ def test_max_pairs_environment_variable(tmp_path, capsys, monkeypatch):
     assert code == 2 and "resource limit" in err
 
 
+def test_max_pairs_zero_is_a_budget_of_zero_pairs(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MODGROB_MAX_PAIRS", raising=False)
+    path = tmp_path / "hard.mg"
+    path.write_text("ring r = ZZ, (z, y, x), lp;"
+                    " ideal I = 3z2-y2+zx, 7yx2-z-1, 5x3+2zy-4;\n")
+    code, _, err = run(capsys, "gb", path, "--max-pairs", "0")
+    assert code == 2 and "resource limit" in err
+    # a single generator makes no pairs, so a zero budget suffices
+    path.write_text("ring r = ZZ, (x), lp; ideal I = 2x;\n")
+    code, out, _ = run(capsys, "gb", path, "--max-pairs", "0")
+    assert code == 0 and out == "2x\n"
+
+
+def test_negative_max_pairs_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "one.mg"
+    path.write_text("ring r = ZZ, (x), lp; ideal I = 2x;\n")
+    code, out, err = run(capsys, "gb", path, "--max-pairs", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: pair budget must be >= 0, got -1\n"
+
+
+def test_bad_max_pairs_environment_is_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "one.mg"
+    path.write_text("ring r = ZZ, (x), lp; ideal I = 2x;\n")
+    monkeypatch.setenv("MODGROB_MAX_PAIRS", "abc")
+    code, _, err = run(capsys, "gb", path)
+    assert code == 2 and "MODGROB_MAX_PAIRS" in err
+    monkeypatch.setenv("MODGROB_MAX_PAIRS", "-5")
+    code, _, err = run(capsys, "gb", path)
+    assert code == 2 and "pair budget must be >= 0" in err
+
+
+def test_non_utf8_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.mg"
+    path.write_bytes("ring r = ZZ, (x), lp; ideal I = x; // caf\u00e9\n".encode("latin-1"))
+    code, _, err = run(capsys, "gb", path)
+    assert code == 2 and "cannot read" in err
+
+
 def test_gb_order_override(capsys):
     code, out, _ = run(capsys, "gb", CORPUS / "chain_dp.mg", "--order", "lp",
                        "--coeff", "ZZ/9")

@@ -45,6 +45,15 @@ def test_crt_rejects_common_factor():
         crt_coefficients([4, 6])
 
 
+def test_crt_checks_the_folded_gcd(monkeypatch):
+    # The gcd check must not be an assert, which python -O strips.
+    import modgrob.intarith as intarith
+
+    monkeypatch.setattr(intarith, "ext_gcd", lambda a, b: (2, 1, 0))
+    with pytest.raises(NotCoprime):
+        crt_coefficients([3, 5])
+
+
 def test_crt_rejects_unit_modulus():
     with pytest.raises(ValueError):
         crt_coefficients([1, 3])

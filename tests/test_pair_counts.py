@@ -1,0 +1,86 @@
+"""Pinned completion work on fixed inputs.
+
+The division kernel decides which reducer applies first, and that choice
+shapes every later pair.  Counting the pair polynomials a completion
+builds, and the reduction steps it spends on them, therefore catches a
+kernel change that alters reducer choice, without timing anything.  A
+change meant to alter the algorithm updates the numbers here.
+"""
+
+import pytest
+
+from modgrob import QQ, ZZ, DegRevLex, Polynomial, buchberger_field, buchberger_z
+from modgrob import groebner
+from modgrob.polyring import ring
+
+PAIR_FUNCTIONS = ("s_pair_z", "g_pair_z", "s_polynomial_field")
+
+
+def _unit(arity, *positions):
+    e = [0] * arity
+    for i in positions:
+        e[i] += 1
+    return tuple(e)
+
+
+def katsura(n, domain):
+    """katsura-n in n+1 variables: sum_j u_j u_{m-j} = u_m (m < n), sum_j u_j = 1."""
+    nv = n + 1
+    ring_ = ring(tuple(f"u{i}" for i in range(nv)), DegRevLex(), domain)
+    gens = []
+    for m in range(n):
+        terms = [(1, _unit(nv, abs(j), abs(m - j))) for j in range(-n, n + 1)
+                 if abs(j) < nv and abs(m - j) < nv]
+        terms.append((-1, _unit(nv, m)))
+        gens.append(Polynomial.from_terms(ring_, terms))
+    terms = [(1, _unit(nv, abs(j))) for j in range(-n, n + 1) if abs(j) < nv]
+    terms.append((-1, _unit(nv)))
+    gens.append(Polynomial.from_terms(ring_, terms))
+    return gens
+
+
+def cyclic(n, domain):
+    """cyclic-n: the cyclic sums of degree 1..n-1 and x_1 ... x_n - 1."""
+    ring_ = ring(tuple(f"x{i}" for i in range(n)), DegRevLex(), domain)
+    gens = []
+    for d in range(1, n):
+        terms = [(1, _unit(n, *((i + k) % n for k in range(d)))) for i in range(n)]
+        gens.append(Polynomial.from_terms(ring_, terms))
+    gens.append(Polynomial.from_terms(ring_, [(1, (1,) * n), (-1, (0,) * n)]))
+    return gens
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Calls of each pair function, and reduction steps, made from now on."""
+    counts = dict.fromkeys(PAIR_FUNCTIONS + ("reductions",), 0)
+    for name in PAIR_FUNCTIONS:
+        original = getattr(groebner, name)
+
+        def counting(f, g, name=name, original=original):
+            counts[name] += 1
+            return original(f, g)
+
+        monkeypatch.setattr(groebner, name, counting)
+    step = groebner._Budget.reduction
+
+    def counting_step(budget):
+        counts["reductions"] += 1
+        return step(budget)
+
+    monkeypatch.setattr(groebner._Budget, "reduction", counting_step)
+    return counts
+
+
+def test_katsura3_over_zz(work):
+    basis = buchberger_z(katsura(3, ZZ))
+    assert work == {"s_pair_z": 320, "g_pair_z": 129, "s_polynomial_field": 0,
+                    "reductions": 12413}
+    assert len(basis) == 12
+
+
+def test_cyclic4_over_qq(work):
+    basis = buchberger_field(cyclic(4, QQ))
+    assert work == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": 13,
+                    "reductions": 50}
+    assert len(basis) == 7

@@ -90,6 +90,18 @@ def test_block_elimination_property(mono):
         assert all(m[0] == 0 for _, m in f.terms)
 
 
+@given(sts.monomials(4), sts.monomials(4))
+def test_block_compares_front_then_back(a, b):
+    # Fronts that are not a prefix arise when homogenizing shifts a block.
+    for front in ((0,), (0, 1), (1,), (2, 0), (1, 3)):
+        back = [i for i in range(4) if i not in front]
+        for inner in ((DegRevLex(), Lex()), (Lex(), DegRevLex())):
+            fa, fb = (tuple(e[i] for i in front) for e in (a, b))
+            ba, bb = (tuple(e[i] for i in back) for e in (a, b))
+            expected = monomial_cmp(fa, fb, inner[0]) or monomial_cmp(ba, bb, inner[1])
+            assert monomial_cmp(a, b, Block(front, *inner)) == expected
+
+
 def test_monomial_lcm_div():
     assert monomial_lcm((2, 1), (1, 3)) == (2, 3)
     assert monomial_divides((1, 1), (2, 1))
