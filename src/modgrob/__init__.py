@@ -6,7 +6,6 @@ from .arnold import (
     ArnoldReport,
     arnold_conditions,
     homogenize_ideal,
-    is_lucky_prime,
 )
 from .errors import (
     DomainError,
@@ -79,4 +78,22 @@ from .torsion import (
     torsion_exponent,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ArnoldReport", "arnold_conditions", "homogenize_ideal", "DomainError",
+    "InvalidLimit", "ModGrobError", "NonMember", "NotCoprime", "OracleFailure",
+    "ParseError", "ResourceLimitExceeded", "RingMismatch", "StreamExhausted",
+    "ZeroPolynomial", "format_basis", "format_polynomial", "GroebnerBasis",
+    "Limits", "buchberger_field", "buchberger_z", "canonical_basis",
+    "divide_with_cofactors", "g_pair_z", "gb_equal", "gb_mod_m",
+    "ideal_member", "is_groebner_basis", "normal_form", "s_pair_z",
+    "s_polynomial_field", "crt_coefficients", "ext_gcd", "factorize",
+    "is_prime", "lcm_many", "Certificate", "GeneratorStream", "IdealOracle",
+    "main_lemma_check", "solve_problem_p", "ProblemFile", "parse_polynomial",
+    "parse_problem", "QQ", "ZZ", "Block", "DegRevLex", "IntegerDomain", "Lex",
+    "ModularDomain", "Polynomial", "RationalDomain", "RingDescriptor",
+    "change_domain", "dehomogenize", "homogenize", "is_homogeneous",
+    "leading_coefficient", "leading_monomial", "leading_term", "monic",
+    "monomial_cmp", "monomial_div", "monomial_divides", "monomial_lcm", "ring",
+    "TorsionReport", "minimal_multiplier", "saturation_contraction",
+    "torsion_exponent",
+]

@@ -151,20 +151,3 @@ def homogenize_ideal(gens):
     new_ring = RingDescriptor(old.variables + (name,), order, old.domain)
     return [homogenize(g, old.arity, new_ring) for g in gens]
 
-
-def is_lucky_prime(i_gens, p, limits=None):
-    """Convenience probe: lead monomials of the basis mod p match those
-    of the basis over QQ.  Plumbing for multi-prime drivers."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    i_gens = list(i_gens)
-    if not i_gens:
-        raise ValueError("need at least one generator")
-    ring_ = i_gens[0].ring
-    basis_q = buchberger_field([change_domain(f, QQ) for f in i_gens],
-                               limits, ring=with_domain(ring_, QQ))
-    images = [change_domain(f, ModularDomain(p)) for f in i_gens]
-    basis_p = buchberger_field(images, limits,
-                               ring=with_domain(ring_, ModularDomain(p)))
-    return ({leading_monomial(g) for g in basis_q}
-            == {leading_monomial(g) for g in basis_p})

@@ -97,11 +97,16 @@ def _with_order_override(problem, args):
                        oracle_path=problem.oracle_path)
 
 
-def _reject_domain_flags(args, command):
+def _load_zz_problem(args, command):
+    """The problem file of a command that works over ZZ, with --order applied."""
     if args.coeff and args.coeff != "ZZ":
         raise _UsageError(f"{command} works over ZZ; --coeff {args.coeff} is not applicable")
     if command != "arnold-verify" and args.mod:
         raise _UsageError(f"{command} works over ZZ; --mod is not applicable")
+    problem = _with_order_override(_load_problem(args.file), args)
+    if not isinstance(problem.ring.domain, IntegerDomain):
+        raise _UsageError(f"{command} needs a problem over ZZ")
+    return problem
 
 
 def _cmd_gb(args):
@@ -134,10 +139,7 @@ def _cmd_gb(args):
 
 
 def _cmd_torsion(args):
-    _reject_domain_flags(args, "torsion")
-    problem = _with_order_override(_load_problem(args.file), args)
-    if not isinstance(problem.ring.domain, IntegerDomain):
-        raise _UsageError("torsion needs a problem over ZZ")
+    problem = _load_zz_problem(args, "torsion")
     gens = list(problem.ideal(args.ideal))
     report = torsion_exponent(gens, _limits(args))
     if args.json:
@@ -167,10 +169,7 @@ def _build_oracle(problem, args, limits):
 
 
 def _cmd_check_lemma(args):
-    _reject_domain_flags(args, "check-lemma")
-    problem = _with_order_override(_load_problem(args.file), args)
-    if not isinstance(problem.ring.domain, IntegerDomain):
-        raise _UsageError("check-lemma needs a problem over ZZ")
+    problem = _load_zz_problem(args, "check-lemma")
     limits = _limits(args)
     oracle = _build_oracle(problem, args, limits)
     name = args.ideal if args.ideal else ("J" if "J" in problem.ideals else None)
@@ -184,10 +183,7 @@ def _cmd_check_lemma(args):
 
 
 def _cmd_solve_p(args):
-    _reject_domain_flags(args, "solve-p")
-    problem = _with_order_override(_load_problem(args.file), args)
-    if not isinstance(problem.ring.domain, IntegerDomain):
-        raise _UsageError("solve-p needs a problem over ZZ")
+    problem = _load_zz_problem(args, "solve-p")
     limits = _limits(args)
     oracle = _build_oracle(problem, args, limits)
     if args.stream:
@@ -219,10 +215,7 @@ def _cmd_solve_p(args):
 
 
 def _cmd_arnold_verify(args):
-    _reject_domain_flags(args, "arnold-verify")
-    problem = _with_order_override(_load_problem(args.file), args)
-    if not isinstance(problem.ring.domain, IntegerDomain):
-        raise _UsageError("arnold-verify needs a problem over ZZ")
+    problem = _load_zz_problem(args, "arnold-verify")
     if not args.mod:
         raise _UsageError("arnold-verify needs --mod p (the prime)")
     i_gens = list(problem.ideal(args.ideal))

@@ -14,7 +14,6 @@ import heapq
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, le, neg, sub
 
 from .errors import (
@@ -29,7 +28,6 @@ from .polyring import (
     IntegerDomain,
     ModularDomain,
     Polynomial,
-    RationalDomain,
     RingDescriptor,
     change_domain,
     leading_coefficient,
@@ -119,12 +117,6 @@ class GroebnerBasis:
 
 # ---------------------------------------------------------------------------
 # reduction
-
-def _basis_elements(basis):
-    if isinstance(basis, GroebnerBasis):
-        return list(basis.elements)
-    return list(basis)
-
 
 def _check_reducers(f, reducers):
     for g in reducers:
@@ -228,7 +220,7 @@ def _reduce(f, reducers, want_quotients=False, budget=None):
 
 def normal_form(f, basis):
     """Fully reduce f against a list of polynomials (or a GroebnerBasis)."""
-    reducers = _basis_elements(basis)
+    reducers = list(basis)
     _check_reducers(f, reducers)
     return _reduce(f, reducers)[1]
 
@@ -238,7 +230,7 @@ def divide_with_cofactors(f, basis):
 
     Field domains only; the remainder equals normal_form(f, basis).
     """
-    reducers = _basis_elements(basis)
+    reducers = list(basis)
     _check_reducers(f, reducers)
     if not f.ring.domain.is_field:
         raise DomainError("cofactor division needs a field domain")
@@ -253,14 +245,6 @@ def ideal_member(f, basis):
 # ---------------------------------------------------------------------------
 # pair polynomials
 
-def _field_inv(dom, c):
-    if isinstance(dom, RationalDomain):
-        return Fraction(1) / c
-    if isinstance(dom, ModularDomain) and dom.is_field:
-        return pow(c, -1, dom.modulus)
-    raise DomainError("inverse needs a field domain")
-
-
 def s_polynomial_field(f, g):
     """(lcm / lt(f)) * f - (lcm / lt(g)) * g; the leading terms cancel."""
     if f.is_zero or g.is_zero:
@@ -271,8 +255,9 @@ def s_polynomial_field(f, g):
     cf, mf = leading_term(f)
     cg, mg = leading_term(g)
     lcm = monomial_lcm(mf, mg)
-    return poly_sub(term_mul(f, _field_inv(dom, cf), monomial_div(lcm, mf)),
-                    term_mul(g, _field_inv(dom, cg), monomial_div(lcm, mg)))
+    # over a field, 1 divided by a lead coefficient is its inverse
+    return poly_sub(term_mul(f, dom.coeff_divmod(1, cf)[0], monomial_div(lcm, mf)),
+                    term_mul(g, dom.coeff_divmod(1, cg)[0], monomial_div(lcm, mg)))
 
 
 def s_pair_z(f, g):
@@ -301,15 +286,38 @@ def g_pair_z(f, g):
 
 
 # ---------------------------------------------------------------------------
-# completion over fields
+# completion
 
-def _sortable_coeff(c):
-    return Fraction(c) if not isinstance(c, Fraction) else c
+def _sign_normalized(f):
+    if f.is_zero:
+        return f
+    return poly_scale(f, -1) if leading_coefficient(f) < 0 else f
+
+
+def _domain_rules(ring_):
+    """(normaliser, pair polynomials by kind): all that completion does per domain.
+
+    A field is the Euclidean case in which every lead coefficient is a
+    unit, so every G-pair is subsumed by a parent and S-polynomials remain.
+    The pair functions are looked up here, at call time, so rebinding the
+    module names reaches every completion and completeness check.
+    """
+    dom = ring_.domain
+    if dom.is_field:
+        return monic, {S_PAIR: s_polynomial_field}
+    if isinstance(dom, IntegerDomain):
+        return _sign_normalized, {S_PAIR: s_pair_z, G_PAIR: g_pair_z}
+    raise DomainError(f"{dom.name}: only fields and ZZ are supported")
+
+
+def _strongly_divides(lt_small, lt_big):
+    (c1, m1), (c2, m2) = lt_small, lt_big
+    return monomial_divides(m1, m2) and c2 % c1 == 0
 
 
 def _poly_sort_key(key):
     def inner(f):
-        return tuple((key(m), _sortable_coeff(c)) for c, m in f.terms)
+        return tuple((key(m), c) for c, m in f.terms)
     return inner
 
 
@@ -344,6 +352,85 @@ def _common_ring(gens, ring_):
     return ring_
 
 
+def _complete(gens, ring_, limits):
+    """Close the generators under their pair polynomials, then canonicalize.
+
+    Pairs pop by the order key of their lcm, S-pairs before G-pairs on the
+    same lcm, then in creation order.
+    """
+    normalize, pair_functions = _domain_rules(ring_)
+    budget = _Budget(limits)
+    key = monomial_key(ring_.order)
+    G = []
+    view = _ReducerView(key)
+    queue = []
+    counter = 0
+
+    def add_reduced(f):
+        """Reduce f; a nonzero remainder joins G along with its pairs."""
+        nonlocal counter
+        _, r = _reduce(f, view.polys, budget=budget)
+        if r.is_zero:
+            return
+        new_index = len(G)
+        G.append(normalize(r))
+        view.insert(G[-1])
+        b, mg = leading_term(G[-1])
+        for i in range(new_index):
+            a, mf = leading_term(G[i])
+            lcm = monomial_lcm(mf, mg)
+            # Product criterion: over ZZ it is only sound when the lead
+            # coefficients are coprime as well; monic elements always are.
+            if not (lcm == monomial_mul(mf, mg) and (a == 1 or math.gcd(a, b) == 1)):
+                heapq.heappush(queue, (key(lcm), S_PAIR, counter, i, new_index))
+                counter += 1
+            # A G-pair is subsumed by one of its parents when one lead
+            # coefficient divides the other, as 1 always divides 1.
+            if not (b % a == 0 or a % b == 0):
+                heapq.heappush(queue, (key(lcm), G_PAIR, counter, i, new_index))
+                counter += 1
+
+    for g in gens:
+        if not g.is_zero:
+            add_reduced(g)
+    while queue:
+        _, kind, _, i, j = heapq.heappop(queue)
+        budget.pair()
+        add_reduced(pair_functions[kind](G[i], G[j]))
+    return _canonicalize(G, ring_, key)
+
+
+def _canonicalize(G, ring_, key):
+    """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
+
+    Over a field the first pass already gives the reduced basis and the
+    second only confirms it; over ZZ a tail reduction can lower a lead
+    coefficient and so change which elements are minimal.
+    """
+    normalize, _ = _domain_rules(ring_)
+    G = [normalize(g) for g in G if not g.is_zero]
+    for _ in range(1000):
+        G.sort(key=_poly_sort_key(key))
+        kept = []
+        for g in G:
+            lt = leading_term(g)
+            if not any(_strongly_divides(leading_term(h), lt) for h in kept):
+                kept.append(g)
+        stable = True
+        for i in range(len(kept)):
+            others = kept[:i] + kept[i + 1:]
+            _, r = _reduce(kept[i], others)
+            r = normalize(r)
+            if r != kept[i]:
+                stable = False
+            kept[i] = r
+        G = [g for g in kept if not g.is_zero]
+        if stable:
+            G.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
+            return GroebnerBasis(ring_, tuple(G), reduced=True)
+    raise ResourceLimitExceeded("basis reduction did not stabilize")
+
+
 def buchberger_field(gens, limits=None, *, ring=None):
     """Reduced Groebner basis over QQ or a prime field ZZ/p.
 
@@ -354,74 +441,7 @@ def buchberger_field(gens, limits=None, *, ring=None):
     ring_ = _common_ring(gens, ring)
     if not ring_.domain.is_field:
         raise DomainError(f"{ring_.domain.name} is not a field")
-    budget = _Budget(limits)
-    key = monomial_key(ring_.order)
-    G = []
-    view = _ReducerView(key)
-    for g in gens:
-        if g.is_zero:
-            continue
-        _, r = _reduce(g, view.polys, budget=budget)
-        if not r.is_zero:
-            G.append(monic(r))
-            view.insert(G[-1])
-    queue = []
-    counter = 0
-
-    def push_pairs(new_index):
-        nonlocal counter
-        for i in range(new_index):
-            mf = leading_monomial(G[i])
-            mg = leading_monomial(G[new_index])
-            lcm = monomial_lcm(mf, mg)
-            if lcm == monomial_mul(mf, mg):
-                continue  # coprime lead monomials: S-poly reduces to zero
-            heapq.heappush(queue, (key(lcm), counter, i, new_index))
-            counter += 1
-
-    for idx in range(len(G)):
-        push_pairs(idx)
-    while queue:
-        _, _, i, j = heapq.heappop(queue)
-        budget.pair()
-        s = s_polynomial_field(G[i], G[j])
-        _, r = _reduce(s, view.polys, budget=budget)
-        if not r.is_zero:
-            G.append(monic(r))
-            view.insert(G[-1])
-            push_pairs(len(G) - 1)
-    return _canonicalize_field(G, ring_, key)
-
-
-def _canonicalize_field(G, ring_, key):
-    """Minimize and tail-reduce a complete field basis into the reduced one."""
-    G = [monic(g) for g in G if not g.is_zero]
-    G.sort(key=_poly_sort_key(key))
-    kept = []
-    for g in G:
-        lm = leading_monomial(g)
-        if not any(monomial_divides(leading_monomial(h), lm) for h in kept):
-            kept.append(g)
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        _, r = _reduce(kept[i], others)
-        kept[i] = monic(r)
-    kept.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
-    return GroebnerBasis(ring_, tuple(kept), reduced=True)
-
-
-# ---------------------------------------------------------------------------
-# completion over ZZ (strong bases)
-
-def _sign_normalized(f):
-    if f.is_zero:
-        return f
-    return poly_scale(f, -1) if leading_coefficient(f) < 0 else f
-
-
-def _strongly_divides(lt_small, lt_big):
-    (c1, m1), (c2, m2) = lt_small, lt_big
-    return monomial_divides(m1, m2) and c2 % c1 == 0
+    return _complete(gens, ring_, limits)
 
 
 def buchberger_z(gens, limits=None, *, ring=None):
@@ -436,75 +456,7 @@ def buchberger_z(gens, limits=None, *, ring=None):
     ring_ = _common_ring(gens, ring)
     if not isinstance(ring_.domain, IntegerDomain):
         raise DomainError("buchberger_z needs the integer domain")
-    budget = _Budget(limits)
-    key = monomial_key(ring_.order)
-    G = []
-    view = _ReducerView(key)
-    for g in gens:
-        if g.is_zero:
-            continue
-        _, r = _reduce(g, view.polys, budget=budget)
-        if not r.is_zero:
-            G.append(_sign_normalized(r))
-            view.insert(G[-1])
-    queue = []
-    counter = 0
-
-    def push_pairs(new_index):
-        nonlocal counter
-        for i in range(new_index):
-            a, mf = leading_term(G[i])
-            b, mg = leading_term(G[new_index])
-            lcm = monomial_lcm(mf, mg)
-            coprime_monos = lcm == monomial_mul(mf, mg)
-            # S-pair skip (product criterion) is only sound over ZZ when the
-            # lead coefficients are coprime as well.
-            if not (coprime_monos and math.gcd(a, b) == 1):
-                heapq.heappush(queue, (key(lcm), S_PAIR, counter, i, new_index))
-                counter += 1
-            # A G-pair is subsumed by one of its parents when one lead
-            # coefficient divides the other.
-            if not (b % a == 0 or a % b == 0):
-                heapq.heappush(queue, (key(lcm), G_PAIR, counter, i, new_index))
-                counter += 1
-
-    for idx in range(len(G)):
-        push_pairs(idx)
-    while queue:
-        _, kind, _, i, j = heapq.heappop(queue)
-        budget.pair()
-        pair_poly = s_pair_z(G[i], G[j]) if kind == S_PAIR else g_pair_z(G[i], G[j])
-        _, r = _reduce(pair_poly, view.polys, budget=budget)
-        if not r.is_zero:
-            G.append(_sign_normalized(r))
-            view.insert(G[-1])
-            push_pairs(len(G) - 1)
-    return _canonicalize_z(G, ring_, key)
-
-
-def _canonicalize_z(G, ring_, key):
-    """Minimize and strongly tail-reduce a complete basis over ZZ."""
-    G = [_sign_normalized(g) for g in G if not g.is_zero]
-    for _ in range(1000):
-        G.sort(key=_poly_sort_key(key))
-        kept = []
-        for g in G:
-            lt = leading_term(g)
-            if not any(_strongly_divides(leading_term(h), lt) for h in kept):
-                kept.append(g)
-        stable = True
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            _, r = _reduce(kept[i], others)
-            r = _sign_normalized(r)
-            if r != kept[i]:
-                stable = False
-            kept[i] = r
-        G = [g for g in kept if not g.is_zero]
-        if stable:
-            G.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
-            return GroebnerBasis(ring_, tuple(G), reduced=True)
-    raise ResourceLimitExceeded("basis reduction did not stabilize")
+    return _complete(gens, ring_, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -549,20 +501,11 @@ def is_groebner_basis(polys):
     polys = [p for p in polys if not p.is_zero]
     if not polys:
         return True
-    ring_ = polys[0].ring
-    over_z = isinstance(ring_.domain, IntegerDomain)
-    if not over_z and not ring_.domain.is_field:
-        raise DomainError("completeness check supports fields and ZZ")
+    _, pair_functions = _domain_rules(polys[0].ring)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            if over_z:
-                if not normal_form(s_pair_z(polys[i], polys[j]), polys).is_zero:
-                    return False
-                if not normal_form(g_pair_z(polys[i], polys[j]), polys).is_zero:
-                    return False
-            else:
-                s = s_polynomial_field(polys[i], polys[j])
-                if not normal_form(s, polys).is_zero:
+            for pair_polynomial in pair_functions.values():
+                if not normal_form(pair_polynomial(polys[i], polys[j]), polys).is_zero:
                     return False
     return True
 
@@ -573,9 +516,4 @@ def canonical_basis(polys):
     if not polys:
         raise ValueError("cannot infer the ring from an empty list")
     ring_ = polys[0].ring
-    key = monomial_key(ring_.order)
-    if isinstance(ring_.domain, IntegerDomain):
-        return _canonicalize_z(polys, ring_, key)
-    if ring_.domain.is_field:
-        return _canonicalize_field(polys, ring_, key)
-    raise DomainError("canonical_basis supports fields and ZZ")
+    return _canonicalize(polys, ring_, monomial_key(ring_.order))

@@ -19,7 +19,7 @@ from .groebner import (
 )
 from .intarith import factorize
 from .polyring import QQ, IntegerDomain, ModularDomain, change_domain, with_domain
-from .torsion import torsion_exponent
+from .torsion import torsion_report
 
 
 class GeneratorStream:
@@ -141,13 +141,16 @@ def main_lemma_check(oracle, j_gens, limits=None):
         witness = BasisMismatch("rationals", None, q_oracle, q_candidate)
         return Certificate(prefix_length=k, q_match=False, mismatches=(witness,))
 
-    report = torsion_exponent(j_gens, limits)
+    # One strong basis serves the torsion report, each p^a basis and the
+    # certificate; the reduced strong basis of <J, p^a> is canonical.
+    basis = buchberger_z(j_gens, limits)
+    report = torsion_report(basis, limits)
     factors = tuple(factorize(report.exponent))
     verdicts = []
     mismatches = []
     for p, a in factors:
         m_i = p ** a
-        candidate = gb_mod_m(j_gens, m_i, limits)
+        candidate = gb_mod_m(basis.elements, m_i, limits, ring=ring_)
         expected = _oracle_answer(oracle, with_domain(ring_, ModularDomain(m_i)),
                                   modulus=m_i)
         ok = gb_equal(expected, candidate)
@@ -155,14 +158,13 @@ def main_lemma_check(oracle, j_gens, limits=None):
         if not ok:
             mismatches.append(BasisMismatch(f"mod {m_i}", m_i, expected, candidate))
     accepted = not mismatches
-    basis = buchberger_z(j_gens, limits) if accepted else None
     return Certificate(prefix_length=k,
                        q_match=True,
                        exponent=report.exponent,
                        factorization=factors,
                        modulus_verdicts=tuple(verdicts),
                        mismatches=tuple(mismatches),
-                       basis=basis)
+                       basis=basis if accepted else None)
 
 
 def solve_problem_p(stream, oracle, limits=None, history=None):

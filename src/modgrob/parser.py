@@ -62,6 +62,7 @@ class ProblemFile:
 
 
 _PUNCT = set("=,;()^+-*/:")
+_MAX_NESTING = 100  # 3 parser frames per level, well inside the recursion limit
 
 
 def _tokenize(text):
@@ -187,6 +188,7 @@ class _PolyParser:
     def __init__(self, cursor, ring):
         self.cur = cursor
         self.ring = ring
+        self.depth = 0
 
     def parse(self):
         poly = self.expression()
@@ -253,10 +255,18 @@ class _PolyParser:
             mono = [0] * self.ring.arity
             for idx, exp in factors:
                 mono[idx] += exp
-            return Polynomial.from_terms(self.ring, [(1, tuple(mono))])
+            try:
+                return Polynomial.from_terms(self.ring, [(1, tuple(mono))])
+            except ValueError as exc:  # an exponent beyond the supported range
+                raise ParseError(str(exc), tok.line, tok.column) from None
         if tok.kind == "PUNCT" and tok.text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}",
+                                 tok.line, tok.column)
             self.cur.advance()
+            self.depth += 1
             inner = self.expression()
+            self.depth -= 1
             self.cur.expect("PUNCT", ")")
             return self._power(inner)
         raise ParseError(f"expected a polynomial factor, found {tok.text or 'end of input'!r}",
@@ -303,7 +313,10 @@ def _parse_variable_group(cursor):
     cursor.expect("PUNCT", "(")
     names = [cursor.expect("IDENT").text]
     while cursor.match("PUNCT", ","):
-        names.append(cursor.expect("IDENT").text)
+        tok = cursor.expect("IDENT")
+        if tok.text in names:
+            raise ParseError(f"duplicate variable {tok.text!r}", tok.line, tok.column)
+        names.append(tok.text)
     cursor.expect("PUNCT", ")")
     return tuple(names)
 

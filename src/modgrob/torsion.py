@@ -114,6 +114,19 @@ def minimal_multiplier(g, j_basis_z, j_basis_q, limits=None):
     return k
 
 
+def torsion_report(basis_z, limits=None):
+    """Torsion report of ZZ[X]/J computed from the reduced strong basis of J."""
+    contracted = _contract(basis_z, limits)
+    basis_q = _rational_view(basis_z)
+    multipliers = []
+    for g in contracted:
+        multipliers.append((g, minimal_multiplier(g, basis_z, basis_q, limits)))
+    exponent = lcm_many([m for _, m in multipliers])
+    return TorsionReport(exponent=exponent,
+                         saturation_basis=tuple(contracted),
+                         multipliers=tuple(multipliers))
+
+
 def torsion_exponent(j_gens, limits=None):
     """Torsion exponent of ZZ[X]/J with the contracted basis and multipliers.
 
@@ -124,13 +137,4 @@ def torsion_exponent(j_gens, limits=None):
         raise ValueError("need at least one polynomial to fix the ring")
     if not isinstance(j_gens[0].ring.domain, IntegerDomain):
         raise DomainError("torsion exponent works over ZZ")
-    basis_z = buchberger_z(j_gens, limits)
-    contracted = _contract(basis_z, limits)
-    basis_q = _rational_view(basis_z)
-    multipliers = []
-    for g in contracted:
-        multipliers.append((g, minimal_multiplier(g, basis_z, basis_q, limits)))
-    exponent = lcm_many([m for _, m in multipliers])
-    return TorsionReport(exponent=exponent,
-                         saturation_basis=tuple(contracted),
-                         multipliers=tuple(multipliers))
+    return torsion_report(buchberger_z(j_gens, limits), limits)

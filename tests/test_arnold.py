@@ -9,7 +9,6 @@ from modgrob import (
     gb_equal,
     homogenize_ideal,
     is_homogeneous,
-    is_lucky_prime,
     monic,
     parse_polynomial,
 )
@@ -116,11 +115,3 @@ def test_homogenize_ideal_avoids_name_clash():
     assert out[0].ring.variables[-1] not in ("h", "x")
     assert is_homogeneous(out[0])
 
-
-def test_is_lucky_prime():
-    r2 = ring(("y", "x"), Lex(), ZZ)
-    gens = [parse_polynomial("3y-x", r2)]
-    assert not is_lucky_prime(gens, 3)
-    assert is_lucky_prime(gens, 5)
-    with pytest.raises(ValueError):
-        is_lucky_prime(gens, 4)

@@ -281,3 +281,28 @@ def test_output_bytes_stable_across_hash_seeds():
         assert proc.returncode == 0
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_duplicate_variable_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "dup.mg"
+    path.write_text("ring r = ZZ, (x, x), dp; ideal I = x;\n")
+    code, out, err = run(capsys, "gb", path)
+    assert code == 2 and out == ""
+    assert err == "parse error: line 1, column 18: duplicate variable 'x'\n"
+
+
+def test_huge_exponent_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "exp.mg"
+    path.write_text("ring r = ZZ, (x), lp;\nideal I = x^99999999999;\n")
+    code, out, err = run(capsys, "gb", path)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 2, column 11: exponent out of range")
+
+
+def test_deep_nesting_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.mg"
+    path.write_text("ring r = ZZ, (x), lp; ideal I = " + "(" * 3000 + "x"
+                    + ")" * 3000 + ";\n")
+    code, out, err = run(capsys, "gb", path)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 1, column 133: parentheses nested deeper")

@@ -9,7 +9,16 @@ change meant to alter the algorithm updates the numbers here.
 
 import pytest
 
-from modgrob import QQ, ZZ, DegRevLex, Polynomial, buchberger_field, buchberger_z
+from modgrob import (
+    QQ,
+    ZZ,
+    DegRevLex,
+    ModularDomain,
+    Polynomial,
+    buchberger_field,
+    buchberger_z,
+    gb_mod_m,
+)
 from modgrob import groebner
 from modgrob.polyring import ring
 
@@ -84,3 +93,17 @@ def test_cyclic4_over_qq(work):
     assert work == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": 13,
                     "reductions": 50}
     assert len(basis) == 7
+
+
+def test_cyclic4_over_f32003(work):
+    basis = buchberger_field(cyclic(4, ModularDomain(32003)))
+    assert work == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": 13,
+                    "reductions": 50}
+    assert len(basis) == 7
+
+
+def test_katsura3_mod_12(work):
+    basis = gb_mod_m(katsura(3, ZZ), 12)
+    assert work == {"s_pair_z": 223, "g_pair_z": 36, "s_polynomial_field": 0,
+                    "reductions": 3926}
+    assert len(basis) == 9
