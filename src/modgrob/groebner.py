@@ -55,6 +55,8 @@ class Limits:
 
     The pair budget is the primary guard; the reduction budget is a wide
     backstop (elimination orders legitimately burn millions of steps).
+    Only pairs whose polynomial is built and reduced count: a pair skipped
+    by a criterion is free.
     """
 
     max_pairs: int = 50_000
@@ -356,14 +358,45 @@ def _complete(gens, ring_, limits):
     """Close the generators under their pair polynomials, then canonicalize.
 
     Pairs pop by the order key of their lcm, S-pairs before G-pairs on the
-    same lcm, then in creation order.
+    same lcm, then in creation order.  A pair skipped by a criterion builds
+    no polynomial and costs nothing against ``Limits.max_pairs``.
+
+    Over ZZ two criteria skip pairs when they are popped; write lt_i =
+    c_i m_i and T_ij = lcm(c_i, c_j) lcm(m_i, m_j).
+
+    - Chain criterion: S-pair (i, j) is skipped when some k other than i
+      and j has lt_k dividing T_ij (c_k | lcm(c_i, c_j), m_k | lcm(m_i,
+      m_j)) and neither S-pair (i, k) nor (j, k) is still queued.  Over a
+      PID the S-syzygies of the lead terms generate their syzygy module,
+      and then S_ij = (T_ij / T_ik) S_ik + (T_ij / T_kj) S_kj, so S_ij
+      lifts once S_ik and S_kj do.  Those two left the queue earlier,
+      reduced, dropped by the product criterion or skipped in turn, so
+      induction on the time a pair left the queue gives a lift for every
+      S-pair: the basis is a (weak) Groebner basis.
+    - G-pair criterion: G-pair (i, j) is skipped when a current lead term
+      strongly divides gcd(c_i, c_j) lcm(m_i, m_j).  Elements never leave
+      the working basis, so it still does at the end.  Were the basis
+      then not strong, some monomial m would have lead coefficients
+      c_i, c_k over it (m_i, m_k | m), c_k the least, with c_k not
+      dividing c_i.  Their G-pair was not subsumed by a parent, and not
+      skipped, since that needs a lead coefficient dividing gcd(c_i, c_k)
+      < c_k over m.  So it was reduced; every lead coefficient over m is
+      >= c_k > gcd(c_i, c_k) > 0, so its lead term stayed and joined the
+      basis, contradicting the choice of c_k.
+
+    Over a field neither criterion runs, so the field path makes exactly
+    the pairs it made before; enabling them there is left to a change
+    that may move the pinned field pair counts.
     """
     normalize, pair_functions = _domain_rules(ring_)
+    criteria = not ring_.domain.is_field
     budget = _Budget(limits)
     key = monomial_key(ring_.order)
     G = []
+    leads = []  # (lead coefficient, lead monomial) of each element of G
     view = _ReducerView(key)
     queue = []
+    pending = set()  # queued S-pairs (i, j), i < j
     counter = 0
 
     def add_reduced(f):
@@ -376,13 +409,15 @@ def _complete(gens, ring_, limits):
         G.append(normalize(r))
         view.insert(G[-1])
         b, mg = leading_term(G[-1])
+        leads.append((b, mg))
         for i in range(new_index):
-            a, mf = leading_term(G[i])
+            a, mf = leads[i]
             lcm = monomial_lcm(mf, mg)
             # Product criterion: over ZZ it is only sound when the lead
             # coefficients are coprime as well; monic elements always are.
             if not (lcm == monomial_mul(mf, mg) and (a == 1 or math.gcd(a, b) == 1)):
                 heapq.heappush(queue, (key(lcm), S_PAIR, counter, i, new_index))
+                pending.add((i, new_index))
                 counter += 1
             # A G-pair is subsumed by one of its parents when one lead
             # coefficient divides the other, as 1 always divides 1.
@@ -390,11 +425,30 @@ def _complete(gens, ring_, limits):
                 heapq.heappush(queue, (key(lcm), G_PAIR, counter, i, new_index))
                 counter += 1
 
+    def chain_skips(i, j):
+        (a, mf), (b, mg) = leads[i], leads[j]
+        c, lcm = math.lcm(a, b), monomial_lcm(mf, mg)
+        return any(c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k, (ck, mk) in enumerate(leads))
+
+    def g_pair_subsumed(i, j):
+        (a, mf), (b, mg) = leads[i], leads[j]
+        c, lcm = math.gcd(a, b), monomial_lcm(mf, mg)
+        return any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads)
+
     for g in gens:
         if not g.is_zero:
             add_reduced(g)
     while queue:
         _, kind, _, i, j = heapq.heappop(queue)
+        if kind == S_PAIR:
+            pending.discard((i, j))
+            if criteria and chain_skips(i, j):
+                continue
+        elif g_pair_subsumed(i, j):
+            continue
         budget.pair()
         add_reduced(pair_functions[kind](G[i], G[j]))
     return _canonicalize(G, ring_, key)

@@ -29,6 +29,7 @@ from .polyring import (
     Polynomial,
     RationalDomain,
     RingDescriptor,
+    _MAX_EXPONENT,
 )
 
 
@@ -273,14 +274,21 @@ class _PolyParser:
                          tok.line, tok.column)
 
     def _power(self, base):
-        if self.cur.match("PUNCT", "^"):
-            tok = self.cur.expect("INT")
-            exp = int(tok.text)
-            result = Polynomial.constant(self.ring, 1)
-            for _ in range(exp):
+        if not self.cur.match("PUNCT", "^"):
+            return base
+        tok = self.cur.expect("INT")
+        exp = int(tok.text)
+        top = max((e for _, mono in base.terms for e in mono), default=0)
+        if exp > _MAX_EXPONENT or exp * top > _MAX_EXPONENT:
+            raise ParseError(f"exponent out of range: {tok.text}", tok.line, tok.column)
+        result = Polynomial.constant(self.ring, 1)
+        while exp:  # square and multiply
+            if exp & 1:
                 result = result * base
-            return result
-        return base
+            exp >>= 1
+            if exp:
+                base = base * base
+        return result
 
 
 def _parse_poly_list(cursor, ring):

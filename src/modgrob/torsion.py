@@ -103,6 +103,12 @@ def minimal_multiplier(g, j_basis_z, j_basis_q, limits=None):
         if not ideal_member(change_domain(b, j_basis_z.ring.domain), j_basis_z):
             raise ValueError("j_basis_q element lies outside J; pass the "
                              "QQ-view of the strong ZZ-basis")
+    return _minimal_multiplier(g, j_basis_z, j_basis_q)
+
+
+def _minimal_multiplier(g, j_basis_z, j_basis_q):
+    """minimal_multiplier for a ``j_basis_q`` known to be the QQ-view of
+    ``j_basis_z``, which needs no membership check."""
     quotients, remainder = divide_with_cofactors(change_domain(g, QQ), j_basis_q)
     if not remainder.is_zero:
         raise NonMember(f"{g} is not in the rational span of the basis")
@@ -120,7 +126,7 @@ def torsion_report(basis_z, limits=None):
     basis_q = _rational_view(basis_z)
     multipliers = []
     for g in contracted:
-        multipliers.append((g, minimal_multiplier(g, basis_z, basis_q, limits)))
+        multipliers.append((g, _minimal_multiplier(g, basis_z, basis_q)))
     exponent = lcm_many([m for _, m in multipliers])
     return TorsionReport(exponent=exponent,
                          saturation_basis=tuple(contracted),

@@ -1,4 +1,7 @@
+import time
 from pathlib import Path
+
+import pytest
 
 from modgrob.cli import main
 
@@ -297,6 +300,18 @@ def test_huge_exponent_is_parse_error(tmp_path, capsys):
     code, out, err = run(capsys, "gb", path)
     assert code == 2 and out == ""
     assert err.startswith("parse error: line 2, column 11: exponent out of range")
+
+
+@pytest.mark.parametrize("ideal", ["(x)^99999999999", "2^99999999999"])
+def test_huge_power_is_parse_error_at_once(tmp_path, capsys, ideal):
+    path = tmp_path / "pow.mg"
+    path.write_text(f"ring r = ZZ, (x), lp;\nideal I = {ideal};\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gb", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 2, column")
+    assert "exponent out of range: 99999999999" in err
 
 
 def test_deep_nesting_is_parse_error(tmp_path, capsys):

@@ -3,8 +3,9 @@
 The division kernel decides which reducer applies first, and that choice
 shapes every later pair.  Counting the pair polynomials a completion
 builds, and the reduction steps it spends on them, therefore catches a
-kernel change that alters reducer choice, without timing anything.  A
-change meant to alter the algorithm updates the numbers here.
+kernel change that alters reducer choice, or a pair criterion that skips
+more or fewer pairs, without timing anything.  A change meant to alter
+the algorithm updates the numbers here.
 """
 
 import pytest
@@ -13,13 +14,17 @@ from modgrob import (
     QQ,
     ZZ,
     DegRevLex,
+    Limits,
     ModularDomain,
     Polynomial,
+    ResourceLimitExceeded,
     buchberger_field,
     buchberger_z,
     gb_mod_m,
+    torsion_exponent,
 )
-from modgrob import groebner
+from modgrob import groebner, torsion
+from modgrob.parser import parse_polynomial
 from modgrob.polyring import ring
 
 PAIR_FUNCTIONS = ("s_pair_z", "g_pair_z", "s_polynomial_field")
@@ -83,8 +88,8 @@ def work(monkeypatch):
 
 def test_katsura3_over_zz(work):
     basis = buchberger_z(katsura(3, ZZ))
-    assert work == {"s_pair_z": 320, "g_pair_z": 129, "s_polynomial_field": 0,
-                    "reductions": 12413}
+    assert work == {"s_pair_z": 122, "g_pair_z": 8, "s_polynomial_field": 0,
+                    "reductions": 1739}
     assert len(basis) == 12
 
 
@@ -104,6 +109,39 @@ def test_cyclic4_over_f32003(work):
 
 def test_katsura3_mod_12(work):
     basis = gb_mod_m(katsura(3, ZZ), 12)
-    assert work == {"s_pair_z": 223, "g_pair_z": 36, "s_polynomial_field": 0,
-                    "reductions": 3926}
+    assert work == {"s_pair_z": 78, "g_pair_z": 7, "s_polynomial_field": 0,
+                    "reductions": 802}
     assert len(basis) == 9
+
+
+def test_tail_instance_saturation(work, monkeypatch):
+    """The heaviest criterion-1 instance, whose Y-elimination dominated."""
+    ring_ = ring(("z", "y", "x"), DegRevLex(), ZZ)
+    gens = [parse_polynomial(text, ring_)
+            for text in ("6y^3+7y", "-4y^3+zy-2x", "6z^2yx+5z^2y-4y^2x")]
+    saturation = {}
+    contract = torsion._contract
+
+    def counting_contract(basis_z, limits=None):
+        before = dict(work)
+        picked = contract(basis_z, limits)
+        saturation.update((name, work[name] - before[name]) for name in work)
+        return picked
+
+    monkeypatch.setattr(torsion, "_contract", counting_contract)
+    report = torsion_exponent(gens)
+    assert saturation == {"s_pair_z": 512, "g_pair_z": 31, "s_polynomial_field": 0,
+                          "reductions": 27511}
+    assert work == {"s_pair_z": 740, "g_pair_z": 49, "s_polynomial_field": 0,
+                    "reductions": 29977}
+    assert report.exponent == 2 and len(report.saturation_basis) == 13
+
+
+KATSURA3_ZZ_PAIRS = 122 + 8  # the pinned pair polynomials of katsura3 over ZZ
+
+
+def test_pair_budget_counts_only_built_pairs():
+    """Pairs skipped by a criterion are free: the pinned count is exactly enough."""
+    assert len(buchberger_z(katsura(3, ZZ), Limits(max_pairs=KATSURA3_ZZ_PAIRS))) == 12
+    with pytest.raises(ResourceLimitExceeded):
+        buchberger_z(katsura(3, ZZ), Limits(max_pairs=KATSURA3_ZZ_PAIRS - 1))
