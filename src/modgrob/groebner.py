@@ -354,6 +354,25 @@ def _common_ring(gens, ring_):
     return ring_
 
 
+def _chain_skips(leads, i, j, pending):
+    """Chain criterion for S-pair (i, j) over lead terms (c, m): some k other
+    than i and j has lt_k dividing lcm(c_i, c_j) lcm(m_i, m_j), and neither
+    S-pair (i, k) nor (j, k) is pending."""
+    (a, mf), (b, mg) = leads[i], leads[j]
+    c, lcm = math.lcm(a, b), monomial_lcm(mf, mg)
+    return any(c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (ck, mk) in enumerate(leads))
+
+
+def _g_pair_skips(leads, i, j):
+    """G-pair criterion: some lead term strongly divides gcd(c_i, c_j) lcm(m_i, m_j)."""
+    (a, mf), (b, mg) = leads[i], leads[j]
+    c, lcm = math.gcd(a, b), monomial_lcm(mf, mg)
+    return any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads)
+
+
 def _complete(gens, ring_, limits):
     """Close the generators under their pair polynomials, then canonicalize.
 
@@ -425,19 +444,6 @@ def _complete(gens, ring_, limits):
                 heapq.heappush(queue, (key(lcm), G_PAIR, counter, i, new_index))
                 counter += 1
 
-    def chain_skips(i, j):
-        (a, mf), (b, mg) = leads[i], leads[j]
-        c, lcm = math.lcm(a, b), monomial_lcm(mf, mg)
-        return any(c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
-                   and (min(i, k), max(i, k)) not in pending
-                   and (min(j, k), max(j, k)) not in pending
-                   for k, (ck, mk) in enumerate(leads))
-
-    def g_pair_subsumed(i, j):
-        (a, mf), (b, mg) = leads[i], leads[j]
-        c, lcm = math.gcd(a, b), monomial_lcm(mf, mg)
-        return any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads)
-
     for g in gens:
         if not g.is_zero:
             add_reduced(g)
@@ -445,9 +451,9 @@ def _complete(gens, ring_, limits):
         _, kind, _, i, j = heapq.heappop(queue)
         if kind == S_PAIR:
             pending.discard((i, j))
-            if criteria and chain_skips(i, j):
+            if criteria and _chain_skips(leads, i, j, pending):
                 continue
-        elif g_pair_subsumed(i, j):
+        elif _g_pair_skips(leads, i, j):
             continue
         budget.pair()
         add_reduced(pair_functions[kind](G[i], G[j]))
@@ -550,17 +556,75 @@ def gb_equal(g1, g2):
     return g1.elements == g2.elements
 
 
-def is_groebner_basis(polys):
-    """Check completeness directly: every S-pair (and G-pair over ZZ) drops to 0."""
+def is_groebner_basis(polys, limits=None):
+    """Decide whether polys is a Groebner basis (strong over ZZ) of its ideal.
+
+    One loop serves every domain, with the criteria of the completion over
+    ZZ.  It visits the pairs by the order key of their lcm, S-pairs before
+    G-pairs on the same lcm, and builds and reduces only the pairs that no
+    criterion skips; each one it reduces is charged to ``limits`` as in
+    completion.  Write lt_i = c_i m_i, with every c_i taken as 1 over a
+    field, and T_ij = lcm(c_i, c_j) lcm(m_i, m_j).  A pair is skipped by:
+
+    - the product criterion: m_i and m_j coprime, and c_i and c_j coprime.
+      Then S_ij is, up to a unit, t_i f_j - t_j f_i with t the tails, a
+      representation below T_ij.  Such a pair is never pending;
+    - the chain criterion: some k other than i and j has lt_k dividing
+      T_ij, and neither S-pair (i, k) nor (j, k) is pending, so each was
+      dropped by the product criterion or visited before (i, j).  Then
+      S_ij = (T_ij / T_ik) S_ik - (T_ij / T_jk) S_jk.  Induction on visit
+      order gives every S-pair a representation below its T: it reduced to
+      zero, or the product criterion gives one, or the chain criterion
+      builds one from two pairs treated earlier.  So the lead terms
+      generate the lead ideal, as the S-syzygies generate the syzygies of
+      the lead terms over a field or a PID.  Without the pending rule,
+      pairs on one lcm could skip each other in a cycle;
+    - the G-pair criterion (ZZ only): some lt_k strongly divides gcd(c_i,
+      c_j) lcm(m_i, m_j); k may be i or j, so a G-pair whose lead
+      coefficients divide one another is not even listed.  Given the
+      S-pairs, were the basis not strong, some monomial m would have lead
+      coefficients c_i, c_k over it, |c_k| the least, with c_k not
+      dividing c_i.  Their G-pair is not skipped, as that needs a lead
+      coefficient over m dividing gcd(c_i, c_k), of size below |c_k|.  It
+      was reduced, and it cannot reduce to zero: its lead coefficient
+      gcd(c_i, c_k) is a canonical residue modulo every lead coefficient
+      over m.
+
+    A skipped pair is thus never needed, and a Groebner basis reduces every
+    pair to zero, so the verdict equals that of reducing every pair.
+    """
     polys = [p for p in polys if not p.is_zero]
     if not polys:
         return True
-    _, pair_functions = _domain_rules(polys[0].ring)
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            for pair_polynomial in pair_functions.values():
-                if not normal_form(pair_polynomial(polys[i], polys[j]), polys).is_zero:
-                    return False
+    ring_ = polys[0].ring
+    _check_reducers(polys[0], polys)
+    _, pair_functions = _domain_rules(ring_)
+    field = ring_.domain.is_field
+    budget = _Budget(limits)
+    key = monomial_key(ring_.order)
+    leads = [(1 if field else c, m) for c, m in map(leading_term, polys)]
+    pairs = []
+    pending = set()  # S-pairs (i, j), i < j, listed and not yet visited
+    for j, (b, mg) in enumerate(leads):
+        for i, (a, mf) in enumerate(leads[:j]):
+            lcm = monomial_lcm(mf, mg)
+            if not (lcm == tuple(map(add, mf, mg)) and math.gcd(a, b) == 1):
+                pairs.append((key(lcm), S_PAIR, i, j))
+                pending.add((i, j))
+            if not (b % a == 0 or a % b == 0):
+                pairs.append((key(lcm), G_PAIR, i, j))
+    pairs.sort()
+    for _, kind, i, j in pairs:
+        if kind == S_PAIR:
+            pending.discard((i, j))
+            if _chain_skips(leads, i, j, pending):
+                continue
+        elif _g_pair_skips(leads, i, j):
+            continue
+        budget.pair()
+        _, r = _reduce(pair_functions[kind](polys[i], polys[j]), polys, budget=budget)
+        if not r.is_zero:
+            return False
     return True
 
 

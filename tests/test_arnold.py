@@ -1,7 +1,17 @@
+"""Arnold's conditions: examples, and a differential test against the
+all-pairs form of the verifier."""
+
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from modgrob import (
     QQ,
+    Limits,
+    ResourceLimitExceeded,
     ZeroPolynomial,
     arnold_conditions,
     buchberger_field,
@@ -10,11 +20,31 @@ from modgrob import (
     homogenize_ideal,
     is_homogeneous,
     monic,
+    normal_form,
     parse_polynomial,
 )
-from modgrob.arnold import CONDITION_FAILED, INAPPLICABLE, VERIFIED
+from modgrob.arnold import (
+    CONDITION_FAILED,
+    INAPPLICABLE,
+    VERIFIED,
+    ArnoldReport,
+    _nonzero_images_mod_p,
+)
 from modgrob.groebner import canonical_basis
-from modgrob.polyring import DegRevLex, Lex, Polynomial, ZZ, ring, with_domain
+from modgrob.intarith import is_prime
+from modgrob.polyring import (
+    DegRevLex,
+    IntegerDomain,
+    Lex,
+    ModularDomain,
+    Polynomial,
+    ZZ,
+    leading_monomial,
+    poly_scale,
+    ring,
+    with_domain,
+)
+from test_groebner_check import reference_is_groebner_basis
 
 R1 = ring(("x",), Lex(), ZZ)
 R2 = ring(("x", "h"), Lex(), ZZ)
@@ -115,3 +145,147 @@ def test_homogenize_ideal_avoids_name_clash():
     assert out[0].ring.variables[-1] not in ("h", "x")
     assert is_homogeneous(out[0])
 
+
+def reference_arnold_conditions(i_gens, g_set, p, limits=None):
+    """``arnold_conditions`` as it stood before it reused the I mod p basis
+    and monic(G): it checks every pair and completes G over QQ again.  Kept
+    verbatim but for the all-pairs completeness check."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    i_gens = list(i_gens)
+    g_set = list(g_set)
+    if not i_gens:
+        raise ValueError("need at least one generator for the ideal")
+    ring_ = i_gens[0].ring
+    if not isinstance(ring_.domain, IntegerDomain):
+        raise ValueError("Arnold verification runs on input over ZZ")
+    for g in g_set:
+        if g.is_zero:
+            raise ZeroPolynomial("zero polynomial in the candidate set")
+
+    # (1) G mod p is a Groebner basis of I mod p: it completes to itself
+    # and its canonical form equals the reduced basis of the image ideal.
+    g_p = _nonzero_images_mod_p(g_set, p)
+    i_p_basis = buchberger_field([change_domain(f, ModularDomain(p)) for f in i_gens],
+                                 limits, ring=with_domain(ring_, ModularDomain(p)))
+    if g_p:
+        cond1 = (reference_is_groebner_basis(g_p)
+                 and gb_equal(canonical_basis(g_p), i_p_basis))
+    else:
+        cond1 = len(i_p_basis) == 0
+
+    # (2) G, made monic over QQ, completes to itself (G itself need not be
+    # reduced; only completeness is demanded).
+    g_q_monic = [monic(change_domain(g, QQ)) for g in g_set]
+    cond2 = reference_is_groebner_basis(g_q_monic)
+
+    # (3) QQ I lies inside the QQ-ideal generated by G.
+    if g_set:
+        g_q_basis = buchberger_field([change_domain(g, QQ) for g in g_set],
+                                     limits, ring=with_domain(ring_, QQ))
+        cond3 = all(normal_form(change_domain(f, QQ), g_q_basis).is_zero
+                    for f in i_gens)
+    else:
+        cond3 = all(f.is_zero for f in i_gens)
+
+    # (4) Lead monomials agree as sets, coefficients ignored.
+    lm_g = {leading_monomial(g) for g in g_set}
+    lm_gp = {leading_monomial(g) for g in g_p}
+    cond4 = lm_g == lm_gp
+
+    homogeneous = all(is_homogeneous(f) for f in i_gens + g_set)
+    conditions = (cond1, cond2, cond3, cond4)
+    failed = tuple(i + 1 for i, ok in enumerate(conditions) if not ok)
+    if not homogeneous:
+        verdict = INAPPLICABLE
+    elif failed:
+        verdict = CONDITION_FAILED
+    else:
+        verdict = VERIFIED
+    return ArnoldReport(prime=p,
+                        condition1=cond1,
+                        condition2=cond2,
+                        condition3=cond3,
+                        condition4=cond4,
+                        homogeneous_input=homogeneous,
+                        verdict=verdict,
+                        failed_conditions=failed)
+
+
+BUDGET = Limits(max_pairs=300)
+PRIMES = (2, 3, 5, 32003)
+CANDIDATES = ("scaled basis", "minus one", "lead divisible by p", "vanishing mod p",
+              "empty", "generators")
+
+
+@st.composite
+def homogeneous_polynomials(draw, ring_):
+    n = ring_.arity
+    degree = draw(st.integers(min_value=1, max_value=3))
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        head = []
+        for _ in range(n - 1):
+            head.append(draw(st.integers(min_value=0, max_value=degree - sum(head))))
+        coeff = draw(st.integers(min_value=-9, max_value=9).filter(bool))
+        terms.append((coeff, tuple(head) + (degree - sum(head),)))
+    f = Polynomial.from_terms(ring_, terms)
+    assume(not f.is_zero)
+    return f
+
+
+def integer_scaled_basis(gens, limits=None):
+    """The reduced QQ basis of the ideal, each element scaled into ZZ[X]."""
+    ring_ = gens[0].ring
+    basis = buchberger_field([change_domain(f, QQ) for f in gens], limits,
+                             ring=with_domain(ring_, QQ))
+    out = []
+    for g in basis:
+        scale = math.lcm(*(Fraction(c).denominator for c, _ in g.terms))
+        out.append(Polynomial.from_terms(ring_, [(int(c * scale), m) for c, m in g.terms]))
+    return out
+
+
+@st.composite
+def arnold_inputs(draw):
+    variables = draw(st.sampled_from([("y", "x"), ("z", "y", "x")]))
+    ring_ = ring(variables, draw(st.sampled_from([Lex(), DegRevLex()])), ZZ)
+    i_gens = draw(st.lists(homogeneous_polynomials(ring_), min_size=1, max_size=3))
+    p = draw(st.sampled_from(PRIMES))
+    shape = draw(st.sampled_from(CANDIDATES))
+    if shape == "generators":
+        return i_gens, i_gens, p
+    if shape == "empty":
+        return i_gens, [], p
+    try:
+        g_set = integer_scaled_basis(i_gens, BUDGET)
+    except ResourceLimitExceeded:
+        assume(False)
+    k = draw(st.integers(min_value=0, max_value=len(g_set) - 1))
+    if shape == "minus one":
+        g_set = g_set[:k] + g_set[k + 1:]
+    elif shape == "lead divisible by p":
+        g_set[k] = poly_scale(g_set[k], p)
+    elif shape == "vanishing mod p":
+        g_set = [poly_scale(g, p) for g in g_set]
+    return i_gens, g_set, p
+
+
+# G generates I but is not a Groebner basis: y^3 lies in QQ I and reduces
+# to zero only against the completion of G, so condition 3 holds only if
+# the verifier completes G when condition 2 fails.
+R_XY = ring(("x", "y"), DegRevLex(), ZZ)
+INCOMPLETE = ([P("x2+y2", R_XY), P("xy", R_XY), P("y3", R_XY)],
+              [P("x2+y2", R_XY), P("xy", R_XY)], 5)
+
+
+@given(arnold_inputs())
+@example(INCOMPLETE)
+@settings(max_examples=150, deadline=None)
+def test_conditions_match_all_pairs_reference(case):
+    i_gens, g_set, p = case
+    try:
+        expected = reference_arnold_conditions(i_gens, g_set, p, BUDGET)
+    except ResourceLimitExceeded:
+        assume(False)
+    assert arnold_conditions(i_gens, g_set, p, BUDGET) == expected

@@ -84,6 +84,21 @@ def test_arnold_verified_exit_zero(tmp_path, capsys):
     assert "verdict: Verified" in out
 
 
+def test_arnold_candidate_incomplete_over_qq(tmp_path, capsys):
+    # G generates I but is not a Groebner basis over QQ, so the verifier
+    # completes G to decide condition 3, which holds: y^3 is in (G).
+    path = tmp_path / "incomplete.mg"
+    path.write_text("ring r = ZZ, (x, y), dp;\n"
+                    "ideal I = x2+y2, xy, y3;\n"
+                    "ideal G = x2+y2, xy;\n")
+    code, out, _ = run(capsys, "arnold-verify", path, "--mod", "5")
+    assert code == 1
+    assert out.splitlines()[-1] == "verdict: ConditionFailed(1,2)"
+    code, out, _ = run(capsys, "arnold-verify", path, "--mod", "5", "--json")
+    assert code == 1
+    assert "failed=1,2" in out.splitlines()
+
+
 def test_arnold_needs_prime(capsys):
     code, _, err = run(capsys, "arnold-verify", CORPUS / "arnold_counterexample.mg")
     assert code == 2 and "--mod" in err

@@ -18,14 +18,17 @@ from modgrob import (
     ModularDomain,
     Polynomial,
     ResourceLimitExceeded,
+    arnold_conditions,
     buchberger_field,
     buchberger_z,
     gb_mod_m,
+    homogenize_ideal,
     torsion_exponent,
 )
-from modgrob import groebner, torsion
+from modgrob import arnold, groebner, torsion
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import ring
+from test_arnold import integer_scaled_basis
 
 PAIR_FUNCTIONS = ("s_pair_z", "g_pair_z", "s_polynomial_field")
 
@@ -145,3 +148,28 @@ def test_pair_budget_counts_only_built_pairs():
     assert len(buchberger_z(katsura(3, ZZ), Limits(max_pairs=KATSURA3_ZZ_PAIRS))) == 12
     with pytest.raises(ResourceLimitExceeded):
         buchberger_z(katsura(3, ZZ), Limits(max_pairs=KATSURA3_ZZ_PAIRS - 1))
+
+
+@pytest.mark.parametrize("family, n, p, s_polynomials", [
+    (cyclic, 4, 32003, 21),
+    (cyclic, 4, 2, 21),
+    (katsura, 3, 32003, 23),
+    (katsura, 3, 2, 11),
+], ids=["cyclic4-p32003", "cyclic4-p2", "katsura3-p32003", "katsura3-p2"])
+def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_polynomials):
+    """The verifier completes I mod p only: G is complete over QQ, so it is
+    not completed again, and the criteria skip most of its pairs."""
+    i_gens = homogenize_ideal(family(n, ZZ))
+    g_set = integer_scaled_basis(i_gens)
+    before = work["s_polynomial_field"]
+    completions = [0]
+    complete = arnold.buchberger_field
+
+    def counting_complete(*args, **kwargs):
+        completions[0] += 1
+        return complete(*args, **kwargs)
+
+    monkeypatch.setattr(arnold, "buchberger_field", counting_complete)
+    report = arnold_conditions(i_gens, g_set, p)
+    assert (work["s_polynomial_field"] - before, completions[0]) == (s_polynomials, 1)
+    assert report.condition2 and report.condition3
