@@ -1,7 +1,9 @@
 """Normal forms and Buchberger completion over QQ, ZZ/p and (strongly) ZZ.
 
 Over a field the engine is the classical one: S-polynomials, full
-reduction, monic reduced bases.  Over ZZ it computes strong bases: besides
+reduction, monic reduced bases.  Over QQ it runs fraction-free, on
+primitive integer polynomials reduced by pseudo-division, and makes the
+elements monic only at the end.  Over ZZ it computes strong bases: besides
 S-pairs it closes under G-pairs (Bezout combinations of the leading
 coefficients on the lcm monomial) and reduction is coefficient-aware, with
 remainders canonical in [0, lead coefficient).  Bases over ZZ/m for
@@ -25,9 +27,11 @@ from .errors import (
 )
 from .intarith import ext_gcd
 from .polyring import (
+    ZZ,
     IntegerDomain,
     ModularDomain,
     Polynomial,
+    RationalDomain,
     RingDescriptor,
     change_domain,
     leading_coefficient,
@@ -130,12 +134,17 @@ def _check_reducers(f, reducers):
             raise ZeroPolynomial("zero polynomial in reducer list")
 
 
-def _reduce(f, reducers, want_quotients=False, budget=None):
+def _reduce(f, reducers, want_quotients=False, budget=None, pseudo=False):
     """Shared division loop; deterministic: first eligible reducer wins.
 
     Returns (quotients, remainder).  A term is moved to the remainder only
     once no reducer changes it, which over ZZ / ZZ/m means its coefficient
     is the canonical residue for every applicable lead coefficient.
+
+    ``pseudo`` divides integer polynomials as QQ would, by the first
+    reducer whose lead monomial divides: the working polynomial and the
+    remainder so far are scaled by gc/gcd(c, gc), so the lead term cancels
+    over ZZ.  Each step is the QQ step up to a nonzero rational factor.
 
     The current largest monomial comes from a lazy max-heap (entries whose
     monomial dropped out of the working dict are skipped on pop).  Each
@@ -168,9 +177,17 @@ def _reduce(f, reducers, want_quotients=False, budget=None):
         for idx, (gm, gc, gtail) in enumerate(leads):
             if not all(map(le, gm, mono)):
                 continue
-            q, _ = coeff_divmod(c, gc)
-            if q == 0:
-                continue
+            if pseudo:
+                g = math.gcd(c, gc)
+                q, scale = c // g, gc // g
+                if scale != 1:
+                    c *= scale
+                    work = {m: v * scale for m, v in work.items()}
+                    rem = [(v * scale, m) for v, m in rem]
+            else:
+                q, _ = coeff_divmod(c, gc)
+                if q == 0:
+                    continue
             if budget is not None:
                 budget.reduction()
             # The lead term lands on mono itself, every other term below it.
@@ -296,15 +313,29 @@ def _sign_normalized(f):
     return poly_scale(f, -1) if leading_coefficient(f) < 0 else f
 
 
-def _domain_rules(ring_):
+def _primitive(f):
+    """Nonzero f as a polynomial over ZZ with denominators cleared, content
+    removed and a positive lead coefficient: the form completion keeps over QQ."""
+    den = math.lcm(*(c.denominator for c, _ in f.terms))
+    nums = [c.numerator * (den // c.denominator) for c, _ in f.terms]
+    g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
+    return Polynomial(with_domain(f.ring, ZZ),
+                      tuple((n // g, m) for n, (_, m) in zip(nums, f.terms)))
+
+
+def _domain_rules(ring_, pseudo=False):
     """(normaliser, pair polynomials by kind): all that completion does per domain.
 
     A field is the Euclidean case in which every lead coefficient is a
     unit, so every G-pair is subsumed by a parent and S-polynomials remain.
+    ``pseudo`` asks for the fraction-free rules of QQ: primitive integer
+    polynomials, whose integer S-pairs are unit multiples of the field's.
     The pair functions are looked up here, at call time, so rebinding the
     module names reaches every completion and completeness check.
     """
     dom = ring_.domain
+    if pseudo:
+        return _primitive, {S_PAIR: s_pair_z}
     if dom.is_field:
         return monic, {S_PAIR: s_polynomial_field}
     if isinstance(dom, IntegerDomain):
@@ -405,10 +436,20 @@ def _complete(gens, ring_, limits):
 
     Over a field neither criterion runs, so the field path makes exactly
     the pairs it made before; enabling them there is left to a change
-    that may move the pinned field pair counts.
+    that may move the pinned field pair counts.  Lead coefficients are
+    stored as 1 there, as they are units.
+
+    Over QQ the elements are primitive integer polynomials (content
+    removed, lead coefficient positive), S-pairs come from ``s_pair_z`` and
+    reduce by pseudo-division, and the elements become monic ``Fraction``
+    polynomials only for ``_canonicalize``.  Every working polynomial is a
+    nonzero rational multiple of the one ``Fraction`` arithmetic would
+    hold, so zero tests, lead monomials, reducer choices, pairs, counts and
+    the reduced basis are those of the ``Fraction`` path.
     """
-    normalize, pair_functions = _domain_rules(ring_)
-    criteria = not ring_.domain.is_field
+    field = ring_.domain.is_field
+    pseudo = isinstance(ring_.domain, RationalDomain)
+    normalize, pair_functions = _domain_rules(ring_, pseudo)
     budget = _Budget(limits)
     key = monomial_key(ring_.order)
     G = []
@@ -421,13 +462,14 @@ def _complete(gens, ring_, limits):
     def add_reduced(f):
         """Reduce f; a nonzero remainder joins G along with its pairs."""
         nonlocal counter
-        _, r = _reduce(f, view.polys, budget=budget)
+        _, r = _reduce(f, view.polys, budget=budget, pseudo=pseudo)
         if r.is_zero:
             return
         new_index = len(G)
         G.append(normalize(r))
         view.insert(G[-1])
         b, mg = leading_term(G[-1])
+        b = 1 if field else b
         leads.append((b, mg))
         for i in range(new_index):
             a, mf = leads[i]
@@ -446,17 +488,19 @@ def _complete(gens, ring_, limits):
 
     for g in gens:
         if not g.is_zero:
-            add_reduced(g)
+            add_reduced(_primitive(g) if pseudo else g)
     while queue:
         _, kind, _, i, j = heapq.heappop(queue)
         if kind == S_PAIR:
             pending.discard((i, j))
-            if criteria and _chain_skips(leads, i, j, pending):
+            if not field and _chain_skips(leads, i, j, pending):
                 continue
         elif _g_pair_skips(leads, i, j):
             continue
         budget.pair()
         add_reduced(pair_functions[kind](G[i], G[j]))
+    if pseudo:
+        G = [change_domain(g, ring_.domain) for g in G]
     return _canonicalize(G, ring_, key)
 
 

@@ -64,6 +64,16 @@ class ProblemFile:
 
 _PUNCT = set("=,;()^+-*/:")
 _MAX_NESTING = 100  # 3 parser frames per level, well inside the recursion limit
+# One multiplication inside a power may form at most this many term
+# products and reach about this many coefficient bits, so that a power
+# too large to expand is refused within a fraction of a second.
+_MAX_POWER_TERMS = 30_000
+_MAX_POWER_BITS = 20_000
+
+
+def _coeff_bits(f):
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for c, _ in f.terms), default=0)
 
 
 def _tokenize(text):
@@ -284,11 +294,19 @@ class _PolyParser:
         result = Polynomial.constant(self.ring, 1)
         while exp:  # square and multiply
             if exp & 1:
-                result = result * base
+                result = _power_step(result, base, tok)
             exp >>= 1
             if exp:
-                base = base * base
+                base = _power_step(base, base, tok)
         return result
+
+
+def _power_step(a, b, tok):
+    """a * b, unless the product would pass the expansion caps."""
+    if (len(a.terms) * len(b.terms) > _MAX_POWER_TERMS
+            or _coeff_bits(a) + _coeff_bits(b) > _MAX_POWER_BITS):
+        raise ParseError(f"power too large to expand: ^{tok.text}", tok.line, tok.column)
+    return a * b
 
 
 def _parse_poly_list(cursor, ring):

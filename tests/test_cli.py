@@ -329,6 +329,19 @@ def test_huge_power_is_parse_error_at_once(tmp_path, capsys, ideal):
     assert "exponent out of range: 99999999999" in err
 
 
+@pytest.mark.parametrize("ideal", ["(x+y+z+1)^400", "(x+1)^3000000", "2^2147483647"])
+def test_power_past_expansion_cap_is_parse_error_at_once(tmp_path, capsys, ideal):
+    path = tmp_path / "pow.mg"
+    path.write_text(f"ring r = ZZ, (x, y, z), lp;\nideal I = {ideal};\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gb", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    exponent = ideal.rsplit("^", 1)[1]
+    assert err.startswith("parse error: line 2, column")
+    assert err.rstrip().endswith(f"power too large to expand: ^{exponent}")
+
+
 def test_deep_nesting_is_parse_error(tmp_path, capsys):
     path = tmp_path / "deep.mg"
     path.write_text("ring r = ZZ, (x), lp; ideal I = " + "(" * 3000 + "x"

@@ -98,9 +98,22 @@ def test_katsura3_over_zz(work):
 
 def test_cyclic4_over_qq(work):
     basis = buchberger_field(cyclic(4, QQ))
-    assert work == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": 13,
+    assert work == {"s_pair_z": 13, "g_pair_z": 0, "s_polynomial_field": 0,
                     "reductions": 50}
     assert len(basis) == 7
+
+
+@pytest.mark.parametrize("family, n, s_pairs, reductions, elements", [
+    (katsura, 4, 49, 1745, 13),
+    (cyclic, 5, 733, 29743, 20),
+], ids=["katsura4", "cyclic5"])
+def test_larger_ideals_over_qq(work, family, n, s_pairs, reductions, elements):
+    """Fraction-free completion over QQ makes the pairs and steps of the
+    Fraction arithmetic it replaced (these counts were recorded with it)."""
+    basis = buchberger_field(family(n, QQ))
+    assert work == {"s_pair_z": s_pairs, "g_pair_z": 0, "s_polynomial_field": 0,
+                    "reductions": reductions}
+    assert len(basis) == elements
 
 
 def test_cyclic4_over_f32003(work):
