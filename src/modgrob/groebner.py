@@ -13,6 +13,7 @@ down, so one completion engine covers every domain.
 
 import bisect
 import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -354,24 +355,6 @@ def _poly_sort_key(key):
     return inner
 
 
-class _ReducerView:
-    """Working basis kept sorted ascending by lead monomial, so smaller
-    reducers apply first; insertion keeps pair indices stable elsewhere."""
-
-    def __init__(self, key):
-        self._sort_key = _poly_sort_key(key)
-        self._entries = []  # (sort key, insertion counter, poly)
-        self._counter = 0
-        self.polys = []
-
-    def insert(self, poly):
-        entry = (self._sort_key(poly), self._counter, poly)
-        self._counter += 1
-        pos = bisect.bisect(self._entries, entry)
-        self._entries.insert(pos, entry)
-        self.polys.insert(pos, poly)
-
-
 def _common_ring(gens, ring_):
     if ring_ is None:
         if not gens:
@@ -385,59 +368,99 @@ def _common_ring(gens, ring_):
     return ring_
 
 
-def _chain_skips(leads, i, j, pending):
-    """Chain criterion for S-pair (i, j) over lead terms (c, m): some k other
-    than i and j has lt_k dividing lcm(c_i, c_j) lcm(m_i, m_j), and neither
-    S-pair (i, k) nor (j, k) is pending."""
-    (a, mf), (b, mg) = leads[i], leads[j]
-    c, lcm = math.lcm(a, b), monomial_lcm(mf, mg)
-    return any(c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k, (ck, mk) in enumerate(leads))
+class _Pairs:
+    """The pairs of a growing basis that Buchberger's criteria leave, in the
+    order both completion and the completeness check visit them.
 
+    ``add(g)`` appends g to ``elements`` and queues its pairs.  Iterating
+    pops pairs by the order key of their lcm, S-pairs before G-pairs, then
+    in creation order, sees pairs queued meanwhile, and yields (kind, f, g)
+    for each pair no criterion skips.  Only those are charged to ``budget``,
+    which the caller's reductions share.
 
-def _g_pair_skips(leads, i, j):
-    """G-pair criterion: some lead term strongly divides gcd(c_i, c_j) lcm(m_i, m_j)."""
-    (a, mf), (b, mg) = leads[i], leads[j]
-    c, lcm = math.gcd(a, b), monomial_lcm(mf, mg)
-    return any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads)
+    Write lt_i = c_i m_i, every c_i taken as 1 over a field, and T_ij =
+    lcm(c_i, c_j) lcm(m_i, m_j).  The criteria are Gebauer and Moeller's
+    (JSC 6, 1988), with lead coefficients over ZZ.  A pair is skipped by:
+
+    - the product criterion, when queued: m_i and m_j coprime, and c_i and
+      c_j coprime.  Then S_ij is, up to a unit, t_i f_j - t_j f_i with t
+      the tails, a representation below T_ij.  Such a pair is never
+      pending.  A G-pair whose lead coefficients divide one another is a
+      multiple of a parent and is not queued either;
+    - the chain criterion, with ``chain`` set: some k other than i and j
+      has lt_k dividing T_ij, and neither S-pair (i, k) nor (j, k) is
+      pending, so each was dropped by the product criterion or popped
+      before (i, j).  The S-syzygies of the lead terms generate their
+      syzygy module over a field or a PID, and S_ij = (T_ij / T_ik) S_ik -
+      (T_ij / T_jk) S_jk.  By induction on the time a pair left the queue,
+      every S-pair has a representation below its T: it reduced to zero,
+      the product criterion gives one, or the chain criterion builds one
+      from two pairs treated earlier.  Without the pending rule, pairs on
+      one lcm could skip each other in a cycle;
+    - the G-pair criterion (ZZ only): some lt_k strongly divides gcd(c_i,
+      c_j) lcm(m_i, m_j).  Elements never leave the basis, so one still
+      does at the end.  Given the S-pairs, were the basis then not strong,
+      some monomial m would have lead coefficients c_i, c_k over it, |c_k|
+      the least, with c_k not dividing c_i.  Their G-pair was queued and not
+      skipped, as that needs a lead coefficient over m dividing gcd(c_i,
+      c_k), below |c_k|.  So it was yielded, and its remainder kept its lead
+      term, a canonical residue modulo every lead coefficient over m:
+      completion added a lead coefficient below |c_k| over m, and the check
+      failed.
+
+    So once every yielded pair reduces to zero, the elements form a
+    Groebner basis (strong over ZZ); a skipped pair is never needed.
+    """
+
+    def __init__(self, ring_, limits, chain):
+        self.field = ring_.domain.is_field
+        self.key = monomial_key(ring_.order)
+        self.budget = _Budget(limits)
+        self.chain = chain
+        self.elements = []
+        self.leads = []  # (lead coefficient, lead monomial) of each element
+        self.queue = []
+        self.pending = set()  # queued S-pairs (i, j), i < j
+        self.counter = itertools.count()
+
+    def add(self, g):
+        j = len(self.elements)
+        self.elements.append(g)
+        b, mg = leading_term(g)
+        b = 1 if self.field else b
+        for i, (a, mf) in enumerate(self.leads):
+            lcm = monomial_lcm(mf, mg)
+            lcm_key = self.key(lcm)
+            if not (lcm == monomial_mul(mf, mg) and math.gcd(a, b) == 1):
+                heapq.heappush(self.queue, (lcm_key, S_PAIR, next(self.counter), i, j, lcm))
+                self.pending.add((i, j))
+            if b % a and a % b:
+                heapq.heappush(self.queue, (lcm_key, G_PAIR, next(self.counter), i, j, lcm))
+        self.leads.append((b, mg))
+
+    def __iter__(self):
+        leads, pending = self.leads, self.pending
+        while self.queue:
+            _, kind, _, i, j, lcm = heapq.heappop(self.queue)
+            if kind == S_PAIR:
+                pending.discard((i, j))
+                c = math.lcm(leads[i][0], leads[j][0])
+                if self.chain and any(
+                        c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
+                        and (min(i, k), max(i, k)) not in pending
+                        and (min(j, k), max(j, k)) not in pending
+                        for k, (ck, mk) in enumerate(leads)):
+                    continue
+            else:
+                c = math.gcd(leads[i][0], leads[j][0])
+                if any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads):
+                    continue
+            self.budget.pair()
+            yield kind, self.elements[i], self.elements[j]
 
 
 def _complete(gens, ring_, limits):
-    """Close the generators under their pair polynomials, then canonicalize.
-
-    Pairs pop by the order key of their lcm, S-pairs before G-pairs on the
-    same lcm, then in creation order.  A pair skipped by a criterion builds
-    no polynomial and costs nothing against ``Limits.max_pairs``.
-
-    Over ZZ two criteria skip pairs when they are popped; write lt_i =
-    c_i m_i and T_ij = lcm(c_i, c_j) lcm(m_i, m_j).
-
-    - Chain criterion: S-pair (i, j) is skipped when some k other than i
-      and j has lt_k dividing T_ij (c_k | lcm(c_i, c_j), m_k | lcm(m_i,
-      m_j)) and neither S-pair (i, k) nor (j, k) is still queued.  Over a
-      PID the S-syzygies of the lead terms generate their syzygy module,
-      and then S_ij = (T_ij / T_ik) S_ik + (T_ij / T_kj) S_kj, so S_ij
-      lifts once S_ik and S_kj do.  Those two left the queue earlier,
-      reduced, dropped by the product criterion or skipped in turn, so
-      induction on the time a pair left the queue gives a lift for every
-      S-pair: the basis is a (weak) Groebner basis.
-    - G-pair criterion: G-pair (i, j) is skipped when a current lead term
-      strongly divides gcd(c_i, c_j) lcm(m_i, m_j).  Elements never leave
-      the working basis, so it still does at the end.  Were the basis
-      then not strong, some monomial m would have lead coefficients
-      c_i, c_k over it (m_i, m_k | m), c_k the least, with c_k not
-      dividing c_i.  Their G-pair was not subsumed by a parent, and not
-      skipped, since that needs a lead coefficient dividing gcd(c_i, c_k)
-      < c_k over m.  So it was reduced; every lead coefficient over m is
-      >= c_k > gcd(c_i, c_k) > 0, so its lead term stayed and joined the
-      basis, contradicting the choice of c_k.
-
-    Over a field neither criterion runs, so the field path makes exactly
-    the pairs it made before; enabling them there is left to a change
-    that may move the pinned field pair counts.  Lead coefficients are
-    stored as 1 there, as they are units.
+    """Close the generators under the pairs ``_Pairs`` yields, then canonicalize.
 
     Over QQ the elements are primitive integer polynomials (content
     removed, lead coefficient positive), S-pairs come from ``s_pair_z`` and
@@ -447,58 +470,28 @@ def _complete(gens, ring_, limits):
     hold, so zero tests, lead monomials, reducer choices, pairs, counts and
     the reduced basis are those of the ``Fraction`` path.
     """
-    field = ring_.domain.is_field
     pseudo = isinstance(ring_.domain, RationalDomain)
     normalize, pair_functions = _domain_rules(ring_, pseudo)
-    budget = _Budget(limits)
     key = monomial_key(ring_.order)
-    G = []
-    leads = []  # (lead coefficient, lead monomial) of each element of G
-    view = _ReducerView(key)
-    queue = []
-    pending = set()  # queued S-pairs (i, j), i < j
-    counter = 0
+    sort_key = _poly_sort_key(key)
+    # No chain criterion over a field keeps the pinned field pair counts.
+    pairs = _Pairs(ring_, limits, chain=not ring_.domain.is_field)
+    reducers = []  # the elements ascending, so that smaller reducers apply first
 
     def add_reduced(f):
-        """Reduce f; a nonzero remainder joins G along with its pairs."""
-        nonlocal counter
-        _, r = _reduce(f, view.polys, budget=budget, pseudo=pseudo)
-        if r.is_zero:
-            return
-        new_index = len(G)
-        G.append(normalize(r))
-        view.insert(G[-1])
-        b, mg = leading_term(G[-1])
-        b = 1 if field else b
-        leads.append((b, mg))
-        for i in range(new_index):
-            a, mf = leads[i]
-            lcm = monomial_lcm(mf, mg)
-            # Product criterion: over ZZ it is only sound when the lead
-            # coefficients are coprime as well; monic elements always are.
-            if not (lcm == monomial_mul(mf, mg) and (a == 1 or math.gcd(a, b) == 1)):
-                heapq.heappush(queue, (key(lcm), S_PAIR, counter, i, new_index))
-                pending.add((i, new_index))
-                counter += 1
-            # A G-pair is subsumed by one of its parents when one lead
-            # coefficient divides the other, as 1 always divides 1.
-            if not (b % a == 0 or a % b == 0):
-                heapq.heappush(queue, (key(lcm), G_PAIR, counter, i, new_index))
-                counter += 1
+        """Reduce f; a nonzero remainder joins the basis along with its pairs."""
+        _, r = _reduce(f, reducers, budget=pairs.budget, pseudo=pseudo)
+        if not r.is_zero:
+            r = normalize(r)
+            bisect.insort(reducers, r, key=sort_key)
+            pairs.add(r)
 
     for g in gens:
         if not g.is_zero:
             add_reduced(_primitive(g) if pseudo else g)
-    while queue:
-        _, kind, _, i, j = heapq.heappop(queue)
-        if kind == S_PAIR:
-            pending.discard((i, j))
-            if not field and _chain_skips(leads, i, j, pending):
-                continue
-        elif _g_pair_skips(leads, i, j):
-            continue
-        budget.pair()
-        add_reduced(pair_functions[kind](G[i], G[j]))
+    for kind, f, g in pairs:
+        add_reduced(pair_functions[kind](f, g))
+    G = pairs.elements
     if pseudo:
         G = [change_domain(g, ring_.domain) for g in G]
     return _canonicalize(G, ring_, key)
@@ -603,70 +596,26 @@ def gb_equal(g1, g2):
 def is_groebner_basis(polys, limits=None):
     """Decide whether polys is a Groebner basis (strong over ZZ) of its ideal.
 
-    One loop serves every domain, with the criteria of the completion over
-    ZZ.  It visits the pairs by the order key of their lcm, S-pairs before
-    G-pairs on the same lcm, and builds and reduces only the pairs that no
-    criterion skips; each one it reduces is charged to ``limits`` as in
-    completion.  Write lt_i = c_i m_i, with every c_i taken as 1 over a
-    field, and T_ij = lcm(c_i, c_j) lcm(m_i, m_j).  A pair is skipped by:
-
-    - the product criterion: m_i and m_j coprime, and c_i and c_j coprime.
-      Then S_ij is, up to a unit, t_i f_j - t_j f_i with t the tails, a
-      representation below T_ij.  Such a pair is never pending;
-    - the chain criterion: some k other than i and j has lt_k dividing
-      T_ij, and neither S-pair (i, k) nor (j, k) is pending, so each was
-      dropped by the product criterion or visited before (i, j).  Then
-      S_ij = (T_ij / T_ik) S_ik - (T_ij / T_jk) S_jk.  Induction on visit
-      order gives every S-pair a representation below its T: it reduced to
-      zero, or the product criterion gives one, or the chain criterion
-      builds one from two pairs treated earlier.  So the lead terms
-      generate the lead ideal, as the S-syzygies generate the syzygies of
-      the lead terms over a field or a PID.  Without the pending rule,
-      pairs on one lcm could skip each other in a cycle;
-    - the G-pair criterion (ZZ only): some lt_k strongly divides gcd(c_i,
-      c_j) lcm(m_i, m_j); k may be i or j, so a G-pair whose lead
-      coefficients divide one another is not even listed.  Given the
-      S-pairs, were the basis not strong, some monomial m would have lead
-      coefficients c_i, c_k over it, |c_k| the least, with c_k not
-      dividing c_i.  Their G-pair is not skipped, as that needs a lead
-      coefficient over m dividing gcd(c_i, c_k), of size below |c_k|.  It
-      was reduced, and it cannot reduce to zero: its lead coefficient
-      gcd(c_i, c_k) is a canonical residue modulo every lead coefficient
-      over m.
-
-    A skipped pair is thus never needed, and a Groebner basis reduces every
-    pair to zero, so the verdict equals that of reducing every pair.
+    The polys, normalized as completion keeps its elements, seed ``_Pairs``
+    with the chain criterion on.  Each pair it yields is charged to
+    ``limits`` and reduced against the polys in input order, fraction-free
+    over QQ; a Groebner basis reduces every pair to zero, and no skipped
+    pair is needed, so the verdict is that of reducing every pair.
     """
     polys = [p for p in polys if not p.is_zero]
     if not polys:
         return True
     ring_ = polys[0].ring
     _check_reducers(polys[0], polys)
-    _, pair_functions = _domain_rules(ring_)
-    field = ring_.domain.is_field
-    budget = _Budget(limits)
-    key = monomial_key(ring_.order)
-    leads = [(1 if field else c, m) for c, m in map(leading_term, polys)]
-    pairs = []
-    pending = set()  # S-pairs (i, j), i < j, listed and not yet visited
-    for j, (b, mg) in enumerate(leads):
-        for i, (a, mf) in enumerate(leads[:j]):
-            lcm = monomial_lcm(mf, mg)
-            if not (lcm == tuple(map(add, mf, mg)) and math.gcd(a, b) == 1):
-                pairs.append((key(lcm), S_PAIR, i, j))
-                pending.add((i, j))
-            if not (b % a == 0 or a % b == 0):
-                pairs.append((key(lcm), G_PAIR, i, j))
-    pairs.sort()
-    for _, kind, i, j in pairs:
-        if kind == S_PAIR:
-            pending.discard((i, j))
-            if _chain_skips(leads, i, j, pending):
-                continue
-        elif _g_pair_skips(leads, i, j):
-            continue
-        budget.pair()
-        _, r = _reduce(pair_functions[kind](polys[i], polys[j]), polys, budget=budget)
+    pseudo = isinstance(ring_.domain, RationalDomain)
+    normalize, pair_functions = _domain_rules(ring_, pseudo)
+    pairs = _Pairs(ring_, limits, chain=True)
+    polys = [normalize(p) for p in polys]
+    for p in polys:
+        pairs.add(p)
+    for kind, f, g in pairs:
+        _, r = _reduce(pair_functions[kind](f, g), polys, budget=pairs.budget,
+                       pseudo=pseudo)
         if not r.is_zero:
             return False
     return True

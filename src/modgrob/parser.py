@@ -64,9 +64,10 @@ class ProblemFile:
 
 _PUNCT = set("=,;()^+-*/:")
 _MAX_NESTING = 100  # 3 parser frames per level, well inside the recursion limit
-# One multiplication inside a power may form at most this many term
-# products and reach about this many coefficient bits, so that a power
-# too large to expand is refused within a fraction of a second.
+# One multiplication inside a power, or all the multiplications of one
+# written-out product, may form at most this many term products, and one
+# may reach about this many coefficient bits, so that an expression too
+# large to expand is refused within a fraction of a second.
 _MAX_POWER_TERMS = 30_000
 _MAX_POWER_BITS = 20_000
 
@@ -225,16 +226,18 @@ class _PolyParser:
 
     def term(self):
         result = self.factor()
+        spent = 0  # term products this product has formed
         while True:
             tok = self.cur.peek()
-            if tok.kind == "PUNCT" and tok.text == "*":
-                self.cur.advance()
-                result = result * self.factor()
-            elif tok.kind == "PUNCT" and tok.text == "/":
+            if tok.kind == "PUNCT" and tok.text == "/":
                 self.cur.advance()
                 result = self._divide(result, tok)
-            elif tok.kind in ("INT", "IDENT") or (tok.kind == "PUNCT" and tok.text == "("):
-                result = result * self.factor()
+            elif tok.kind in ("INT", "IDENT") or (tok.kind == "PUNCT" and tok.text in "*("):
+                self.cur.match("PUNCT", "*")
+                factor = self.factor()
+                product = _capped_mul(result, factor, tok, spent=spent)
+                spent += len(result.terms) * len(factor.terms)
+                result = product
             else:
                 return result
 
@@ -291,21 +294,23 @@ class _PolyParser:
         top = max((e for _, mono in base.terms for e in mono), default=0)
         if exp > _MAX_EXPONENT or exp * top > _MAX_EXPONENT:
             raise ParseError(f"exponent out of range: {tok.text}", tok.line, tok.column)
+        message = f"power too large to expand: ^{tok.text}"
         result = Polynomial.constant(self.ring, 1)
         while exp:  # square and multiply
             if exp & 1:
-                result = _power_step(result, base, tok)
+                result = _capped_mul(result, base, tok, message)
             exp >>= 1
             if exp:
-                base = _power_step(base, base, tok)
+                base = _capped_mul(base, base, tok, message)
         return result
 
 
-def _power_step(a, b, tok):
-    """a * b, unless the product would pass the expansion caps."""
-    if (len(a.terms) * len(b.terms) > _MAX_POWER_TERMS
+def _capped_mul(a, b, tok, message="product too large to expand", spent=0):
+    """a * b, unless it would pass the expansion caps; ``spent`` term
+    products formed earlier in the same product count against the cap."""
+    if (spent + len(a.terms) * len(b.terms) > _MAX_POWER_TERMS
             or _coeff_bits(a) + _coeff_bits(b) > _MAX_POWER_BITS):
-        raise ParseError(f"power too large to expand: ^{tok.text}", tok.line, tok.column)
+        raise ParseError(message, tok.line, tok.column)
     return a * b
 
 

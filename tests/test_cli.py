@@ -342,6 +342,19 @@ def test_power_past_expansion_cap_is_parse_error_at_once(tmp_path, capsys, ideal
     assert err.rstrip().endswith(f"power too large to expand: ^{exponent}")
 
 
+@pytest.mark.parametrize("factor, count", [("(x+y+z+1)", 60), ("(x+1)", 400)])
+def test_long_written_out_product_is_parse_error_at_once(tmp_path, capsys, factor, count):
+    """Each multiplication stays under the cap; together they pass it."""
+    path = tmp_path / "product.mg"
+    path.write_text(f"ring r = ZZ, (x, y, z), lp;\nideal I = {factor * count};\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gb", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 2, column")
+    assert err.rstrip().endswith("product too large to expand")
+
+
 def test_deep_nesting_is_parse_error(tmp_path, capsys):
     path = tmp_path / "deep.mg"
     path.write_text("ring r = ZZ, (x), lp; ideal I = " + "(" * 3000 + "x"

@@ -163,18 +163,19 @@ def test_pair_budget_counts_only_built_pairs():
         buchberger_z(katsura(3, ZZ), Limits(max_pairs=KATSURA3_ZZ_PAIRS - 1))
 
 
-@pytest.mark.parametrize("family, n, p, s_polynomials", [
+@pytest.mark.parametrize("family, n, p, s_pairs", [
     (cyclic, 4, 32003, 21),
     (cyclic, 4, 2, 21),
     (katsura, 3, 32003, 23),
     (katsura, 3, 2, 11),
 ], ids=["cyclic4-p32003", "cyclic4-p2", "katsura3-p32003", "katsura3-p2"])
-def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_polynomials):
+def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_pairs):
     """The verifier completes I mod p only: G is complete over QQ, so it is
-    not completed again, and the criteria skip most of its pairs."""
+    not completed again, and the criteria skip most of its pairs.  S-pairs
+    over F_p and the fraction-free ones of the QQ check count alike."""
     i_gens = homogenize_ideal(family(n, ZZ))
     g_set = integer_scaled_basis(i_gens)
-    before = work["s_polynomial_field"]
+    before = work["s_polynomial_field"] + work["s_pair_z"]
     completions = [0]
     complete = arnold.buchberger_field
 
@@ -184,5 +185,6 @@ def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_polynomials):
 
     monkeypatch.setattr(arnold, "buchberger_field", counting_complete)
     report = arnold_conditions(i_gens, g_set, p)
-    assert (work["s_polynomial_field"] - before, completions[0]) == (s_polynomials, 1)
+    built = work["s_polynomial_field"] + work["s_pair_z"] - before
+    assert (built, completions[0]) == (s_pairs, 1)
     assert report.condition2 and report.condition3

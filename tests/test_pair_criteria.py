@@ -7,8 +7,11 @@ strong bases are canonical, so ``buchberger_z``, ``gb_mod_m`` and
 ``saturation_contraction`` must return the same elements whether the
 engine skips pairs by a criterion or builds every one, in Lex, DegRevLex
 and Block orders, and each result must pass ``is_groebner_basis``.
+``_ReducerView`` is the package's sorted reducer list of that time, copied
+verbatim.
 """
 
+import bisect
 import heapq
 import math
 from unittest import mock
@@ -38,8 +41,8 @@ from modgrob.groebner import (
     _Budget,
     _canonicalize,
     _domain_rules,
+    _poly_sort_key,
     _reduce,
-    _ReducerView,
 )
 from modgrob.polyring import (
     leading_term,
@@ -52,6 +55,24 @@ from modgrob.polyring import (
 VARIABLES = {1: ("x",), 2: ("y", "x"), 3: ("z", "y", "x")}
 # The reference builds every pair, so the budget keeps a rare blow-up short.
 BUDGET = Limits(max_pairs=1500)
+
+
+class _ReducerView:
+    """Working basis kept sorted ascending by lead monomial, so smaller
+    reducers apply first; insertion keeps pair indices stable elsewhere."""
+
+    def __init__(self, key):
+        self._sort_key = _poly_sort_key(key)
+        self._entries = []  # (sort key, insertion counter, poly)
+        self._counter = 0
+        self.polys = []
+
+    def insert(self, poly):
+        entry = (self._sort_key(poly), self._counter, poly)
+        self._counter += 1
+        pos = bisect.bisect(self._entries, entry)
+        self._entries.insert(pos, entry)
+        self.polys.insert(pos, poly)
 
 
 def reference_complete(gens, ring_, limits):

@@ -8,9 +8,12 @@ as the specification: the fraction-free engine keeps each working
 polynomial a nonzero rational multiple of the one the ``Fraction`` path
 holds, so ``buchberger_field`` over QQ must return the same elements, with
 ``Fraction`` coefficients in the QQ ring, after the same number of pairs and
-reduction steps, in Lex, DegRevLex and Block orders.
+reduction steps, in Lex, DegRevLex and Block orders.  ``_ReducerView``,
+``_chain_skips`` and ``_g_pair_skips`` are the package's helpers of that
+time, copied verbatim.
 """
 
+import bisect
 import heapq
 import math
 from fractions import Fraction
@@ -38,11 +41,8 @@ from modgrob.groebner import (
     S_PAIR,
     GroebnerBasis,
     _Budget,
-    _chain_skips,
     _domain_rules,
-    _g_pair_skips,
     _poly_sort_key,
-    _ReducerView,
     _strongly_divides,
 )
 from modgrob.polyring import (
@@ -59,6 +59,43 @@ VARIABLES = {1: ("x",), 2: ("y", "x"), 3: ("z", "y", "x")}
 ORDERS = [Lex(), DegRevLex(), Block((0,), DegRevLex(), Lex())]
 # Both engines build the same pairs, so one budget bounds a rare blow-up.
 BUDGET = Limits(max_pairs=400)
+
+
+class _ReducerView:
+    """Working basis kept sorted ascending by lead monomial, so smaller
+    reducers apply first; insertion keeps pair indices stable elsewhere."""
+
+    def __init__(self, key):
+        self._sort_key = _poly_sort_key(key)
+        self._entries = []  # (sort key, insertion counter, poly)
+        self._counter = 0
+        self.polys = []
+
+    def insert(self, poly):
+        entry = (self._sort_key(poly), self._counter, poly)
+        self._counter += 1
+        pos = bisect.bisect(self._entries, entry)
+        self._entries.insert(pos, entry)
+        self.polys.insert(pos, poly)
+
+
+def _chain_skips(leads, i, j, pending):
+    """Chain criterion for S-pair (i, j) over lead terms (c, m): some k other
+    than i and j has lt_k dividing lcm(c_i, c_j) lcm(m_i, m_j), and neither
+    S-pair (i, k) nor (j, k) is pending."""
+    (a, mf), (b, mg) = leads[i], leads[j]
+    c, lcm = math.lcm(a, b), monomial_lcm(mf, mg)
+    return any(c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (ck, mk) in enumerate(leads))
+
+
+def _g_pair_skips(leads, i, j):
+    """G-pair criterion: some lead term strongly divides gcd(c_i, c_j) lcm(m_i, m_j)."""
+    (a, mf), (b, mg) = leads[i], leads[j]
+    c, lcm = math.gcd(a, b), monomial_lcm(mf, mg)
+    return any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads)
 
 
 def reference_reduce(f, reducers, want_quotients=False, budget=None):
