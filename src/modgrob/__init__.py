@@ -26,8 +26,6 @@ from .groebner import (
     Limits,
     buchberger_field,
     buchberger_z,
-    canonical_basis,
-    divide_with_cofactors,
     g_pair_z,
     gb_equal,
     gb_mod_m,
@@ -58,14 +56,12 @@ from .polyring import (
     RationalDomain,
     RingDescriptor,
     change_domain,
-    dehomogenize,
     homogenize,
     is_homogeneous,
     leading_coefficient,
     leading_monomial,
     leading_term,
     monic,
-    monomial_cmp,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -83,17 +79,16 @@ __all__ = [
     "InvalidLimit", "ModGrobError", "NonMember", "NotCoprime", "OracleFailure",
     "ParseError", "ResourceLimitExceeded", "RingMismatch", "StreamExhausted",
     "ZeroPolynomial", "format_basis", "format_polynomial", "GroebnerBasis",
-    "Limits", "buchberger_field", "buchberger_z", "canonical_basis",
-    "divide_with_cofactors", "g_pair_z", "gb_equal", "gb_mod_m",
-    "ideal_member", "is_groebner_basis", "normal_form", "s_pair_z",
+    "Limits", "buchberger_field", "buchberger_z", "g_pair_z", "gb_equal",
+    "gb_mod_m", "ideal_member", "is_groebner_basis", "normal_form", "s_pair_z",
     "s_polynomial_field", "crt_coefficients", "ext_gcd", "factorize",
     "is_prime", "lcm_many", "Certificate", "GeneratorStream", "IdealOracle",
     "main_lemma_check", "solve_problem_p", "ProblemFile", "parse_polynomial",
     "parse_problem", "QQ", "ZZ", "Block", "DegRevLex", "IntegerDomain", "Lex",
     "ModularDomain", "Polynomial", "RationalDomain", "RingDescriptor",
-    "change_domain", "dehomogenize", "homogenize", "is_homogeneous",
+    "change_domain", "homogenize", "is_homogeneous",
     "leading_coefficient", "leading_monomial", "leading_term", "monic",
-    "monomial_cmp", "monomial_div", "monomial_divides", "monomial_lcm", "ring",
+    "monomial_div", "monomial_divides", "monomial_lcm", "ring",
     "TorsionReport", "minimal_multiplier", "saturation_contraction",
     "torsion_exponent",
 ]

@@ -135,10 +135,12 @@ def _check_reducers(f, reducers):
             raise ZeroPolynomial("zero polynomial in reducer list")
 
 
-def _reduce(f, reducers, want_quotients=False, budget=None, pseudo=False):
+def _reduce(f, reducers, budget=None, pseudo=False):
     """Shared division loop; deterministic: first eligible reducer wins.
 
-    Returns (quotients, remainder).  A term is moved to the remainder only
+    Returns (multiplier, remainder): multiplier * f - remainder is a
+    combination of the reducers with polynomial cofactors over f's domain,
+    an integer combination over ZZ.  A term is moved to the remainder only
     once no reducer changes it, which over ZZ / ZZ/m means its coefficient
     is the canonical residue for every applicable lead coefficient.
 
@@ -146,6 +148,7 @@ def _reduce(f, reducers, want_quotients=False, budget=None, pseudo=False):
     reducer whose lead monomial divides: the working polynomial and the
     remainder so far are scaled by gc/gcd(c, gc), so the lead term cancels
     over ZZ.  Each step is the QQ step up to a nonzero rational factor.
+    The multiplier is the product of these scales, 1 without ``pseudo``.
 
     The current largest monomial comes from a lazy max-heap (entries whose
     monomial dropped out of the working dict are skipped on pop).  Each
@@ -169,19 +172,20 @@ def _reduce(f, reducers, want_quotients=False, budget=None, pseudo=False):
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
     rem = []
-    quotients = [{} for _ in reducers] if want_quotients else None
+    multiplier = 1
     while heap:
         negkey, mono = heappop(heap)
         c = work.get(mono)
         if c is None:
             continue
-        for idx, (gm, gc, gtail) in enumerate(leads):
+        for gm, gc, gtail in leads:
             if not all(map(le, gm, mono)):
                 continue
             if pseudo:
                 g = math.gcd(c, gc)
                 q, scale = c // g, gc // g
                 if scale != 1:
+                    multiplier *= scale
                     c *= scale
                     work = {m: v * scale for m, v in work.items()}
                     rem = [(v * scale, m) for v, m in rem]
@@ -215,8 +219,6 @@ def _reduce(f, reducers, want_quotients=False, budget=None, pseudo=False):
                         del work[target]
                     else:
                         work[target] = v
-            if want_quotients:
-                quotients[idx][shift] = quotients[idx].get(shift, 0) + q
             break
         else:
             rem.append((c, mono))
@@ -230,12 +232,7 @@ def _reduce(f, reducers, want_quotients=False, budget=None, pseudo=False):
             # partially reduced lead coefficient: revisit the same monomial
             work[mono] = c
             heappush(heap, (negkey, mono))
-    remainder = Polynomial(f.ring, tuple(rem))
-    if want_quotients:
-        qpolys = [Polynomial.from_terms(f.ring, [(c, m) for m, c in qd.items()])
-                  for qd in quotients]
-        return qpolys, remainder
-    return None, remainder
+    return multiplier, Polynomial(f.ring, tuple(rem))
 
 
 def normal_form(f, basis):
@@ -243,18 +240,6 @@ def normal_form(f, basis):
     reducers = list(basis)
     _check_reducers(f, reducers)
     return _reduce(f, reducers)[1]
-
-
-def divide_with_cofactors(f, basis):
-    """Division with quotient tracking: f == sum(q_i * g_i) + remainder.
-
-    Field domains only; the remainder equals normal_form(f, basis).
-    """
-    reducers = list(basis)
-    _check_reducers(f, reducers)
-    if not f.ring.domain.is_field:
-        raise DomainError("cofactor division needs a field domain")
-    return _reduce(f, reducers, want_quotients=True)
 
 
 def ideal_member(f, basis):
@@ -619,12 +604,3 @@ def is_groebner_basis(polys, limits=None):
         if not r.is_zero:
             return False
     return True
-
-
-def canonical_basis(polys):
-    """Canonicalize a set already known to be a Groebner basis."""
-    polys = [p for p in polys if not p.is_zero]
-    if not polys:
-        raise ValueError("cannot infer the ring from an empty list")
-    ring_ = polys[0].ring
-    return _canonicalize(polys, ring_, monomial_key(ring_.order))

@@ -64,8 +64,8 @@ class ProblemFile:
 
 _PUNCT = set("=,;()^+-*/:")
 _MAX_NESTING = 100  # 3 parser frames per level, well inside the recursion limit
-# One multiplication inside a power, or all the multiplications of one
-# written-out product, may form at most this many term products, and one
+# All the multiplications of one polynomial, in powers and in written-out
+# products, may form at most this many term products together, and one
 # may reach about this many coefficient bits, so that an expression too
 # large to expand is refused within a fraction of a second.
 _MAX_POWER_TERMS = 30_000
@@ -201,6 +201,7 @@ class _PolyParser:
         self.cur = cursor
         self.ring = ring
         self.depth = 0
+        self.spent = 0  # term products this polynomial has formed
 
     def parse(self):
         poly = self.expression()
@@ -226,7 +227,6 @@ class _PolyParser:
 
     def term(self):
         result = self.factor()
-        spent = 0  # term products this product has formed
         while True:
             tok = self.cur.peek()
             if tok.kind == "PUNCT" and tok.text == "/":
@@ -235,9 +235,7 @@ class _PolyParser:
             elif tok.kind in ("INT", "IDENT") or (tok.kind == "PUNCT" and tok.text in "*("):
                 self.cur.match("PUNCT", "*")
                 factor = self.factor()
-                product = _capped_mul(result, factor, tok, spent=spent)
-                spent += len(result.terms) * len(factor.terms)
-                result = product
+                result = self._capped_mul(result, factor, tok)
             else:
                 return result
 
@@ -298,20 +296,20 @@ class _PolyParser:
         result = Polynomial.constant(self.ring, 1)
         while exp:  # square and multiply
             if exp & 1:
-                result = _capped_mul(result, base, tok, message)
+                result = self._capped_mul(result, base, tok, message)
             exp >>= 1
             if exp:
-                base = _capped_mul(base, base, tok, message)
+                base = self._capped_mul(base, base, tok, message)
         return result
 
-
-def _capped_mul(a, b, tok, message="product too large to expand", spent=0):
-    """a * b, unless it would pass the expansion caps; ``spent`` term
-    products formed earlier in the same product count against the cap."""
-    if (spent + len(a.terms) * len(b.terms) > _MAX_POWER_TERMS
-            or _coeff_bits(a) + _coeff_bits(b) > _MAX_POWER_BITS):
-        raise ParseError(message, tok.line, tok.column)
-    return a * b
+    def _capped_mul(self, a, b, tok, message="product too large to expand"):
+        """a * b, charged to this polynomial's term products, unless it
+        would pass the expansion caps."""
+        self.spent += len(a.terms) * len(b.terms)
+        if (self.spent > _MAX_POWER_TERMS
+                or _coeff_bits(a) + _coeff_bits(b) > _MAX_POWER_BITS):
+            raise ParseError(message, tok.line, tok.column)
+        return a * b
 
 
 def _parse_poly_list(cursor, ring):

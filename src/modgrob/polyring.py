@@ -167,15 +167,6 @@ def monomial_key(order):
     raise TypeError(f"unknown term order {order!r}")
 
 
-def monomial_cmp(a, b, order):
-    """Three-way comparison of two monomials under a term order."""
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    key = monomial_key(order)
-    ka, kb = key(a), key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -516,26 +507,6 @@ def homogenize(f, position, new_ring=None):
     for c, mono in f.terms:
         filler = deg - monomial_degree(mono)
         pairs.append((c, mono[:position] + (filler,) + mono[position:]))
-    return Polynomial.from_terms(new_ring, pairs)
-
-
-def dehomogenize(f, position, new_ring=None):
-    """Substitute 1 for the variable at ``position`` and drop it."""
-    old = f.ring
-    if new_ring is None:
-        variables = old.variables[:position] + old.variables[position + 1:]
-        order = old.order
-        if isinstance(order, Block):
-            if position in order.front:
-                raise ValueError("cannot drop a block front variable implicitly")
-            front = tuple(i - 1 if i > position else i for i in order.front)
-            order = Block(front, order.front_order, order.back_order)
-        new_ring = RingDescriptor(variables, order, old.domain)
-    if new_ring.arity != old.arity - 1:
-        raise ValueError("dehomogenization ring must have one variable fewer")
-    pairs = []
-    for c, mono in f.terms:
-        pairs.append((c, mono[:position] + mono[position + 1:]))
     return Polynomial.from_terms(new_ring, pairs)
 
 

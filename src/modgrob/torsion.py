@@ -10,28 +10,20 @@ contracted generator back into J.
 from dataclasses import dataclass
 
 from .errors import DomainError, NonMember
-from .groebner import (
-    GroebnerBasis,
-    buchberger_z,
-    divide_with_cofactors,
-    ideal_member,
-)
+from .groebner import _check_reducers, _reduce, buchberger_z, ideal_member
 from .intarith import factorize, lcm_many
 from .polyring import (
-    QQ,
     Block,
     IntegerDomain,
     Lex,
     Polynomial,
     RingDescriptor,
-    change_domain,
     drop_variable,
     fresh_variable_name,
     inject_variable,
     leading_coefficient,
     leading_monomial,
     poly_scale,
-    with_domain,
 )
 
 
@@ -80,40 +72,22 @@ def saturation_contraction(j_gens, limits=None):
     return _contract(basis, limits)
 
 
-def _rational_view(basis_z):
-    """The Z-basis viewed over QQ: a (non-monic) Groebner basis of QQ J
-    whose elements still lie in J, so cofactor denominators bound the
-    multiplier of anything they divide."""
-    elements = tuple(change_domain(g, QQ) for g in basis_z.elements)
-    return GroebnerBasis(with_domain(basis_z.ring, QQ), elements, reduced=False)
-
-
-def minimal_multiplier(g, j_basis_z, j_basis_q, limits=None):
+def minimal_multiplier(g, j_basis_z):
     """Least m_g >= 1 with m_g * g in J, for g in QQ J intersect ZZ[X].
 
-    ``j_basis_q`` must consist of integer polynomials lying in J (the
-    QQ-view of the strong ZZ-basis, see torsion_exponent); dividing g by it
-    gives an integer k0 with k0 * g in J, and since the valid multipliers
-    form an ideal of ZZ, stripping primes of k0 while membership holds
-    reaches the minimum.
+    ``j_basis_z`` is the reduced strong basis of J, so also a Groebner
+    basis of QQ J: pseudo-division of g by it ends in remainder 0 with a
+    multiplier k0 for which k0 * g is an integer combination of the basis,
+    hence in J.  The valid multipliers form an ideal of ZZ, so stripping
+    primes of k0 while membership holds reaches the minimum.
     """
-    for b in j_basis_q.elements:
-        if any(c.denominator != 1 for c, _ in b.terms):
-            raise ValueError("j_basis_q must consist of integer polynomials inside J")
-        if not ideal_member(change_domain(b, j_basis_z.ring.domain), j_basis_z):
-            raise ValueError("j_basis_q element lies outside J; pass the "
-                             "QQ-view of the strong ZZ-basis")
-    return _minimal_multiplier(g, j_basis_z, j_basis_q)
-
-
-def _minimal_multiplier(g, j_basis_z, j_basis_q):
-    """minimal_multiplier for a ``j_basis_q`` known to be the QQ-view of
-    ``j_basis_z``, which needs no membership check."""
-    quotients, remainder = divide_with_cofactors(change_domain(g, QQ), j_basis_q)
+    reducers = list(j_basis_z)
+    _check_reducers(g, reducers)
+    if not isinstance(g.ring.domain, IntegerDomain):
+        raise DomainError("minimal multipliers work over ZZ")
+    k, remainder = _reduce(g, reducers, pseudo=True)
     if not remainder.is_zero:
         raise NonMember(f"{g} is not in the rational span of the basis")
-    denominators = [c.denominator for q in quotients for c, _ in q.terms]
-    k = lcm_many(denominators)
     for p, _ in factorize(k):
         while k % p == 0 and ideal_member(poly_scale(g, k // p), j_basis_z):
             k //= p
@@ -123,10 +97,9 @@ def _minimal_multiplier(g, j_basis_z, j_basis_q):
 def torsion_report(basis_z, limits=None):
     """Torsion report of ZZ[X]/J computed from the reduced strong basis of J."""
     contracted = _contract(basis_z, limits)
-    basis_q = _rational_view(basis_z)
     multipliers = []
     for g in contracted:
-        multipliers.append((g, _minimal_multiplier(g, basis_z, basis_q)))
+        multipliers.append((g, minimal_multiplier(g, basis_z)))
     exponent = lcm_many([m for _, m in multipliers])
     return TorsionReport(exponent=exponent,
                          saturation_basis=tuple(contracted),

@@ -30,7 +30,7 @@ from modgrob.arnold import (
     ArnoldReport,
     _nonzero_images_mod_p,
 )
-from modgrob.groebner import canonical_basis
+from modgrob.groebner import _canonicalize
 from modgrob.intarith import is_prime
 from modgrob.polyring import (
     DegRevLex,
@@ -40,6 +40,7 @@ from modgrob.polyring import (
     Polynomial,
     ZZ,
     leading_monomial,
+    monomial_key,
     poly_scale,
     ring,
     with_domain,
@@ -52,6 +53,12 @@ R2 = ring(("x", "h"), Lex(), ZZ)
 
 def P(text, ring_=R1):
     return parse_polynomial(text, ring_)
+
+
+def canonical_basis(polys):
+    """The reduced basis of polys, a Groebner basis of a nonzero ideal."""
+    ring_ = polys[0].ring
+    return _canonicalize(polys, ring_, monomial_key(ring_.order))
 
 
 def test_nonhomogeneous_counterexample_all_conditions_hold():

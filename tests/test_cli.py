@@ -355,6 +355,22 @@ def test_long_written_out_product_is_parse_error_at_once(tmp_path, capsys, facto
     assert err.rstrip().endswith("product too large to expand")
 
 
+@pytest.mark.parametrize("summand, message", [
+    ("(x+y+z+1)^16", "power too large to expand: ^16"),
+    ("(x+y+z+1)" * 10, "product too large to expand"),
+], ids=["powers", "products"])
+def test_long_sum_of_expansions_is_parse_error_at_once(tmp_path, capsys, summand, message):
+    """Each summand stays under the cap; the polynomial's summands together pass it."""
+    path = tmp_path / "sum.mg"
+    path.write_text(f"ring r = ZZ, (x, y, z), lp;\nideal I = {'+'.join([summand] * 50)};\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gb", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 2, column")
+    assert err.rstrip().endswith(message)
+
+
 def test_deep_nesting_is_parse_error(tmp_path, capsys):
     path = tmp_path / "deep.mg"
     path.write_text("ring r = ZZ, (x), lp; ideal I = " + "(" * 3000 + "x"

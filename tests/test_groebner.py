@@ -17,7 +17,6 @@ from modgrob import (
     buchberger_field,
     buchberger_z,
     change_domain,
-    divide_with_cofactors,
     g_pair_z,
     gb_equal,
     gb_mod_m,
@@ -177,39 +176,6 @@ def test_membership_torsion_split():
     og = [O.from_pkg(g) for g in CHAIN]
     assert not O.z_member_bounded(og, {(1, 0, 0): 9}, 2)
     assert O.z_member_bounded(og, {(1, 0, 0): 27}, 2)
-
-
-# ---------------------------------------------------------------------------
-# division with cofactors
-
-def test_cofactors_on_first_element():
-    basis = buchberger_field([P("y2+x", R2Q), P("x2", R2Q)])
-    f = basis.elements[0]
-    quotients, rem = divide_with_cofactors(f, basis)
-    assert rem.is_zero
-    assert quotients[0] == Polynomial.constant(R2Q, 1)
-    assert all(q.is_zero for q in quotients[1:])
-
-
-def test_cofactors_no_division_possible():
-    f = P("y", R2Q)
-    quotients, rem = divide_with_cofactors(f, [P("x2", R2Q)])
-    assert rem == f and all(q.is_zero for q in quotients)
-
-
-def test_cofactors_need_field():
-    with pytest.raises(DomainError):
-        divide_with_cofactors(P("x"), [P("y")])
-
-
-@given(sts.ring_and_polys(count=3, domains=(QQ,), allow_zero=False))
-@settings(max_examples=60, deadline=None)
-def test_cofactor_identity(data):
-    _, polys = data
-    f, g1, g2 = polys
-    quotients, rem = divide_with_cofactors(f, [g1, g2])
-    assert quotients[0] * g1 + quotients[1] * g2 + rem == f
-    assert rem == normal_form(f, [g1, g2])
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 ``reference_reduce`` is the division loop as it stood before the kernel
 inlined its monomial arithmetic, memoised order keys and dropped the
 coefficient normalisation over ZZ and QQ.  It stays here, outside the
-package, as the specification: ``normal_form`` and ``divide_with_cofactors``
-must return the same quotients and remainders, coefficient types included,
-over ZZ, QQ, F_p and ZZ/m, in Lex, DegRevLex and the Block order that the
-saturation in ``torsion`` eliminates with.
+package, as the specification: ``normal_form`` must return the same
+remainders, coefficient types included, over ZZ, QQ, F_p and ZZ/m, in Lex,
+DegRevLex and the Block order that the saturation in ``torsion``
+eliminates with.  Its quotient mode rebuilds, in ``test_torsion``, the
+multipliers that cofactor division over QQ gave.
 """
 
 import heapq
@@ -22,7 +23,6 @@ from modgrob import (
     DegRevLex,
     Lex,
     ModularDomain,
-    divide_with_cofactors,
     normal_form,
 )
 from modgrob.polyring import (
@@ -139,17 +139,3 @@ def test_normal_form_matches_reference(problem):
     f, reducers = problem
     _, expected = reference_reduce(f, reducers)
     assert _exact(normal_form(f, reducers)) == _exact(expected)
-
-
-@given(division_problems((QQ, F7)))
-@settings(max_examples=200, deadline=None)
-def test_cofactors_match_reference(problem):
-    f, reducers = problem
-    quotients, remainder = divide_with_cofactors(f, reducers)
-    expected_q, expected_r = reference_reduce(f, reducers, want_quotients=True)
-    assert [_exact(q) for q in quotients] == [_exact(q) for q in expected_q]
-    assert _exact(remainder) == _exact(expected_r)
-    total = remainder
-    for q, g in zip(quotients, reducers):
-        total = poly_add(total, poly_mul(q, g))
-    assert total == f

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracle as O
 import strategies as sts
@@ -7,9 +7,11 @@ from modgrob import (
     QQ,
     ZZ,
     DegRevLex,
+    DomainError,
     Lex,
     NonMember,
     Polynomial,
+    RingMismatch,
     buchberger_z,
     change_domain,
     gb_equal,
@@ -21,9 +23,9 @@ from modgrob import (
     torsion_exponent,
 )
 from modgrob.groebner import buchberger_field
-from modgrob.intarith import factorize
+from modgrob.intarith import factorize, lcm_many
 from modgrob.polyring import poly_scale, ring, with_domain
-from modgrob.torsion import _rational_view
+from test_reduce_reference import reference_reduce
 
 R1 = ring(("x",), Lex(), ZZ)
 R3 = ring(("z", "y", "x"), DegRevLex(), ZZ)
@@ -78,37 +80,68 @@ def test_contraction_generates_same_rational_ideal(data):
 # ---------------------------------------------------------------------------
 # minimal multipliers
 
+def reference_multiplier(g, basis_z):
+    """The multiplier by cofactor division: divide g over QQ by the strong
+    basis viewed over QQ, take the lcm of the cofactor denominators as k0
+    and strip its primes while membership holds."""
+    view = [change_domain(b, QQ) for b in basis_z]
+    quotients, remainder = reference_reduce(change_domain(g, QQ), view,
+                                            want_quotients=True)
+    assert remainder.is_zero
+    k = lcm_many([c.denominator for q in quotients for c, _ in q.terms])
+    for p, _ in factorize(k):
+        while k % p == 0 and ideal_member(poly_scale(g, k // p), basis_z):
+            k //= p
+    return k
+
+
 def test_multiplier_of_member_is_one():
     basis_z = buchberger_z([P("3x")])
-    assert minimal_multiplier(P("3x"), basis_z, _rational_view(basis_z)) == 1
+    assert minimal_multiplier(P("3x"), basis_z) == 1
 
 
 def test_multiplier_of_saturated_variable():
     basis_z = buchberger_z([P("3x")])
-    assert minimal_multiplier(P("x"), basis_z, _rational_view(basis_z)) == 3
+    assert minimal_multiplier(P("x"), basis_z) == 3
 
 
 def test_multiplier_in_chain():
     basis_z = buchberger_z(CHAIN)
-    view = _rational_view(basis_z)
     z = parse_polynomial("z", R3)
-    assert minimal_multiplier(z, basis_z, view) == 27
+    assert minimal_multiplier(z, basis_z) == 27
 
 
 def test_multiplier_rejects_non_members():
     basis_z = buchberger_z([P("x2")])
     with pytest.raises(NonMember):
-        minimal_multiplier(P("x+1"), basis_z, _rational_view(basis_z))
+        minimal_multiplier(P("x+1"), basis_z)
 
 
-def test_multiplier_rejects_monic_rational_basis():
-    # the rational basis must consist of integer polynomials inside J;
-    # handing it the monic reduced QQ-basis would silently give k0 = 1
+def test_multiplier_rejects_other_ring():
     basis_z = buchberger_z([P("3x")])
+    with pytest.raises(RingMismatch):
+        minimal_multiplier(parse_polynomial("x", R3), basis_z)
+
+
+def test_multiplier_needs_zz():
     ring_q = with_domain(R1, QQ)
-    monic_basis = buchberger_field([change_domain(P("3x"), QQ)], ring=ring_q)
-    with pytest.raises(ValueError):
-        minimal_multiplier(P("x"), basis_z, monic_basis)
+    basis_q = buchberger_field([P("3x", ring_q)])
+    with pytest.raises(DomainError):
+        minimal_multiplier(P("x", ring_q), basis_q)
+
+
+@given(sts.ring_and_polys(count=3, domains=(ZZ,), max_degree=2, max_coeff=5,
+                          order_pool=(DegRevLex(), Lex())))
+@example((R3, CHAIN))
+@settings(max_examples=60, deadline=None)
+def test_multipliers_match_cofactor_division(data):
+    _, polys = data
+    if all(p.is_zero for p in polys):
+        return
+    basis_z = buchberger_z(polys)
+    report = torsion_exponent(polys)
+    assert [m for _, m in report.multipliers] == \
+        [reference_multiplier(g, basis_z) for g, _ in report.multipliers]
 
 
 # ---------------------------------------------------------------------------
