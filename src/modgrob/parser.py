@@ -64,10 +64,11 @@ class ProblemFile:
 
 _PUNCT = set("=,;()^+-*/:")
 _MAX_NESTING = 100  # 3 parser frames per level, well inside the recursion limit
-# All the multiplications of one polynomial, in powers and in written-out
-# products, may form at most this many term products together, and one
-# may reach about this many coefficient bits, so that an expression too
-# large to expand is refused within a fraction of a second.
+# All the multiplications of one problem file (or of the one polynomial
+# given to parse_polynomial), in powers and in written-out products, may
+# form at most this many term products together, and one may reach about
+# this many coefficient bits, so that input too large to expand is refused
+# within a fraction of a second.
 _MAX_POWER_TERMS = 30_000
 _MAX_POWER_BITS = 20_000
 
@@ -168,6 +169,15 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # polynomial expressions
 
+def _int(tok):
+    """The value of a digit token; one longer than Python converts is a ParseError."""
+    try:
+        return int(tok.text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal too long: {len(tok.text)} digits",
+                         tok.line, tok.column) from None
+
+
 def _split_variable_factors(token, variables):
     """Split an IDENT like 'y2x' into [(var_index, exponent), ...].
 
@@ -182,11 +192,11 @@ def _split_variable_factors(token, variables):
         for name in by_length:
             if text.startswith(name, pos):
                 pos += len(name)
-                digits = ""
+                start = pos
                 while pos < len(text) and text[pos].isdigit():
-                    digits += text[pos]
                     pos += 1
-                factors.append((variables.index(name), int(digits) if digits else 1))
+                digits = Token("INT", text[start:pos], token.line, token.column + start)
+                factors.append((variables.index(name), _int(digits) if digits.text else 1))
                 break
         else:
             raise ParseError(f"unknown identifier {text[pos:]!r}",
@@ -195,17 +205,17 @@ def _split_variable_factors(token, variables):
 
 
 class _PolyParser:
-    """Recursive-descent expression parser over the shared token cursor."""
+    """Recursive-descent expression parser over the shared token cursor.
+
+    One instance reads every polynomial of a problem file, so that they
+    all draw on one expansion budget.
+    """
 
     def __init__(self, cursor, ring):
         self.cur = cursor
         self.ring = ring
         self.depth = 0
-        self.spent = 0  # term products this polynomial has formed
-
-    def parse(self):
-        poly = self.expression()
-        return poly
+        self.spent = 0  # term products formed so far
 
     def expression(self):
         tok = self.cur.peek()
@@ -241,7 +251,7 @@ class _PolyParser:
 
     def _divide(self, numerator, slash_tok):
         tok = self.cur.expect("INT")
-        value = int(tok.text)
+        value = _int(tok)
         if value == 0:
             raise ParseError("division by zero", tok.line, tok.column)
         if not isinstance(self.ring.domain, RationalDomain):
@@ -253,7 +263,7 @@ class _PolyParser:
         tok = self.cur.peek()
         if tok.kind == "INT":
             self.cur.advance()
-            base = Polynomial.constant(self.ring, int(tok.text))
+            base = Polynomial.constant(self.ring, _int(tok))
             return self._power(base)
         if tok.kind == "IDENT":
             self.cur.advance()
@@ -263,7 +273,7 @@ class _PolyParser:
             if self.cur.match("PUNCT", "^"):
                 exp_tok = self.cur.expect("INT")
                 idx, exp = factors[-1]
-                factors[-1] = (idx, exp * int(exp_tok.text))
+                factors[-1] = (idx, exp * _int(exp_tok))
             mono = [0] * self.ring.arity
             for idx, exp in factors:
                 mono[idx] += exp
@@ -288,7 +298,7 @@ class _PolyParser:
         if not self.cur.match("PUNCT", "^"):
             return base
         tok = self.cur.expect("INT")
-        exp = int(tok.text)
+        exp = _int(tok)
         top = max((e for _, mono in base.terms for e in mono), default=0)
         if exp > _MAX_EXPONENT or exp * top > _MAX_EXPONENT:
             raise ParseError(f"exponent out of range: {tok.text}", tok.line, tok.column)
@@ -303,7 +313,7 @@ class _PolyParser:
         return result
 
     def _capped_mul(self, a, b, tok, message="product too large to expand"):
-        """a * b, charged to this polynomial's term products, unless it
+        """a * b, charged to the term products spent so far, unless it
         would pass the expansion caps."""
         self.spent += len(a.terms) * len(b.terms)
         if (self.spent > _MAX_POWER_TERMS
@@ -312,10 +322,10 @@ class _PolyParser:
         return a * b
 
 
-def _parse_poly_list(cursor, ring):
-    polys = [_PolyParser(cursor, ring).parse()]
-    while cursor.match("PUNCT", ","):
-        polys.append(_PolyParser(cursor, ring).parse())
+def _parse_poly_list(reader):
+    polys = [reader.expression()]
+    while reader.cur.match("PUNCT", ","):
+        polys.append(reader.expression())
     return tuple(polys)
 
 
@@ -327,7 +337,7 @@ def _parse_domain(cursor):
     if tok.text == "ZZ":
         if cursor.match("PUNCT", "/"):
             m_tok = cursor.expect("INT")
-            m = int(m_tok.text)
+            m = _int(m_tok)
             if m < 2:
                 raise ParseError("modulus must be >= 2", m_tok.line, m_tok.column)
             return ModularDomain(m)
@@ -350,23 +360,18 @@ def _parse_variable_group(cursor):
     return tuple(names)
 
 
-def _parse_inner_order(cursor):
+def _parse_inner_order(cursor, choices="lp or dp"):
     tok = cursor.expect("IDENT")
     if tok.text == "lp":
         return Lex()
     if tok.text == "dp":
         return DegRevLex()
-    raise ParseError(f"unknown order {tok.text!r} inside block (lp or dp)",
-                     tok.line, tok.column)
+    raise ParseError(f"unknown term order {tok.text!r} ({choices})", tok.line, tok.column)
 
 
 def _parse_order(cursor, variables):
-    tok = cursor.expect("IDENT")
-    if tok.text == "lp":
-        return Lex()
-    if tok.text == "dp":
-        return DegRevLex()
-    if tok.text == "block":
+    tok = cursor.match("IDENT", "block")
+    if tok:
         cursor.expect("PUNCT", "(")
         front_vars = _parse_variable_group(cursor)
         cursor.expect("PUNCT", ":")
@@ -381,8 +386,7 @@ def _parse_order(cursor, variables):
                 "block groups must concatenate to the declared variable list",
                 tok.line, tok.column)
         return Block(tuple(range(len(front_vars))), front_order, back_order)
-    raise ParseError(f"unknown term order {tok.text!r} (lp, dp or block(...))",
-                     tok.line, tok.column)
+    return _parse_inner_order(cursor, "lp, dp or block(...)")
 
 
 def _parse_ring(cursor):
@@ -405,7 +409,7 @@ def parse_problem(text):
     cursor = _Cursor(tokens)
     if cursor.peek().kind == "END":
         raise ParseError("empty problem file", 1, 1)
-    ring_ = None
+    reader = None  # the one _PolyParser of the file, made at its ring
     ideals = {}
     stream = None
     oracle_polys = None
@@ -413,11 +417,11 @@ def parse_problem(text):
     while cursor.peek().kind != "END":
         tok = cursor.expect("IDENT")
         if tok.text == "ring":
-            if ring_ is not None:
+            if reader is not None:
                 raise ParseError("duplicate ring declaration", tok.line, tok.column)
-            ring_ = _parse_ring(cursor)
+            reader = _PolyParser(cursor, _parse_ring(cursor))
         elif tok.text == "ideal":
-            if ring_ is None:
+            if reader is None:
                 raise ParseError("ideal section before the ring declaration",
                                  tok.line, tok.column)
             name_tok = cursor.expect("IDENT")
@@ -425,17 +429,17 @@ def parse_problem(text):
                 raise ParseError(f"duplicate ideal section {name_tok.text!r}",
                                  name_tok.line, name_tok.column)
             cursor.expect("PUNCT", "=")
-            ideals[name_tok.text] = _parse_poly_list(cursor, ring_)
+            ideals[name_tok.text] = _parse_poly_list(reader)
         elif tok.text == "stream":
-            if ring_ is None:
+            if reader is None:
                 raise ParseError("stream section before the ring declaration",
                                  tok.line, tok.column)
             if stream is not None:
                 raise ParseError("duplicate stream section", tok.line, tok.column)
             cursor.expect("PUNCT", "=")
-            stream = _parse_poly_list(cursor, ring_)
+            stream = _parse_poly_list(reader)
         elif tok.text == "oracle":
-            if ring_ is None:
+            if reader is None:
                 raise ParseError("oracle section before the ring declaration",
                                  tok.line, tok.column)
             if oracle_polys is not None or oracle_path is not None:
@@ -444,25 +448,40 @@ def parse_problem(text):
             if cursor.peek().kind == "STRING":
                 oracle_path = cursor.advance().text
             else:
-                oracle_polys = _parse_poly_list(cursor, ring_)
+                oracle_polys = _parse_poly_list(reader)
         else:
             raise ParseError(f"unknown section keyword {tok.text!r}",
                              tok.line, tok.column)
         cursor.expect("PUNCT", ";")
-    if ring_ is None:
+    if reader is None:
         raise ParseError("the file declares no ring", 1, 1)
-    return ProblemFile(ring=ring_, ideals=ideals, stream=stream,
+    return ProblemFile(ring=reader.ring, ideals=ideals, stream=stream,
                        oracle_polys=oracle_polys, oracle_path=oracle_path)
+
+
+def _parse_text(text, parse, what):
+    """Read all of text with parse(cursor); text that is empty or runs on is an error."""
+    cursor = _Cursor(_tokenize(text))
+    if cursor.peek().kind == "END":
+        raise ParseError(f"empty {what}", 1, 1)
+    value = parse(cursor)
+    tail = cursor.peek()
+    if tail.kind != "END":
+        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.line, tail.column)
+    return value
 
 
 def parse_polynomial(text, ring_):
     """Parse a single polynomial expression in the given ring."""
-    tokens = _tokenize(text)
-    cursor = _Cursor(tokens)
-    if cursor.peek().kind == "END":
-        raise ParseError("empty polynomial expression", 1, 1)
-    poly = _PolyParser(cursor, ring_).parse()
-    tail = cursor.peek()
-    if tail.kind != "END":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.line, tail.column)
-    return poly
+    return _parse_text(text, lambda cursor: _PolyParser(cursor, ring_).expression(),
+                       "polynomial expression")
+
+
+def parse_domain_text(text):
+    """A coefficient domain spelt as in a ring declaration: ZZ, QQ or ZZ/m."""
+    return _parse_text(text, _parse_domain, "coefficient domain")
+
+
+def parse_order_text(text):
+    """A term order spelt as inside a block order: lp or dp."""
+    return _parse_text(text, _parse_inner_order, "term order")

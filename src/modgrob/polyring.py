@@ -249,12 +249,6 @@ class Polynomial:
     def constant(ring_, c):
         return Polynomial.from_terms(ring_, [(c, ring_.one_monomial())])
 
-    @staticmethod
-    def variable(ring_, name):
-        i = ring_.variables.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(ring_.arity))
-        return Polynomial.from_terms(ring_, [(1, mono)])
-
     @property
     def is_zero(self):
         return not self.terms

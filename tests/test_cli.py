@@ -1,7 +1,11 @@
+import contextlib
+import io
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modgrob.cli import main
 
@@ -355,14 +359,17 @@ def test_long_written_out_product_is_parse_error_at_once(tmp_path, capsys, facto
     assert err.rstrip().endswith("product too large to expand")
 
 
-@pytest.mark.parametrize("summand, message", [
-    ("(x+y+z+1)^16", "power too large to expand: ^16"),
-    ("(x+y+z+1)" * 10, "product too large to expand"),
-], ids=["powers", "products"])
-def test_long_sum_of_expansions_is_parse_error_at_once(tmp_path, capsys, summand, message):
-    """Each summand stays under the cap; the polynomial's summands together pass it."""
+@pytest.mark.parametrize("summand, joiner, message", [
+    ("(x+y+z+1)^16", "+", "power too large to expand: ^16"),
+    ("(x+y+z+1)" * 10, "+", "product too large to expand"),
+    ("(x+y+z+1)^16", ", ", "power too large to expand: ^16"),
+], ids=["powers", "products", "listed-powers"])
+def test_long_sum_of_expansions_is_parse_error_at_once(tmp_path, capsys, summand, joiner,
+                                                      message):
+    """Each summand stays under the cap; the file's summands together pass it,
+    whether they add up to one polynomial or are listed as many."""
     path = tmp_path / "sum.mg"
-    path.write_text(f"ring r = ZZ, (x, y, z), lp;\nideal I = {'+'.join([summand] * 50)};\n")
+    path.write_text(f"ring r = ZZ, (x, y, z), lp;\nideal I = {joiner.join([summand] * 50)};\n")
     start = time.perf_counter()
     code, out, err = run(capsys, "gb", path)
     assert time.perf_counter() - start < 1.0
@@ -378,3 +385,109 @@ def test_deep_nesting_is_parse_error(tmp_path, capsys):
     code, out, err = run(capsys, "gb", path)
     assert code == 2 and out == ""
     assert err.startswith("parse error: line 1, column 133: parentheses nested deeper")
+
+
+_BIG = "1" + "0" * 5000  # more digits than Python's int() converts
+
+
+@pytest.mark.parametrize("text, where", [
+    (f"ring r = ZZ, (x), lp;\nideal I = {_BIG}x;\n", "line 2, column 11"),
+    (f"ring r = ZZ, (x), lp;\nideal I = x^{_BIG};\n", "line 2, column 13"),
+    (f"ring r = ZZ, (x), lp;\nideal I = x{_BIG};\n", "line 2, column 12"),
+    (f"ring r = ZZ/{_BIG}, (x), lp;\nideal I = x;\n", "line 1, column 13"),
+], ids=["coefficient", "exponent", "juxtaposed-exponent", "modulus"])
+def test_overlong_integer_literal_is_parse_error(tmp_path, capsys, text, where):
+    path = tmp_path / "big.mg"
+    path.write_text(text)
+    code, out, err = run(capsys, "gb", path)
+    assert code == 2 and out == ""
+    assert err == f"parse error: {where}: integer literal too long: 5001 digits\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gb", CORPUS / "chain_dp.mg", "--ideal", "NOPE"], "no ideal section named 'NOPE'"),
+    (["torsion", CORPUS / "chain_dp.mg", "--ideal", "NOPE"], "no ideal section named 'NOPE'"),
+    (["check-lemma", CORPUS / "solve_p_demo.mg", "--ideal", "NOPE"],
+     "no ideal section named 'NOPE'"),
+    (["arnold-verify", CORPUS / "arnold_counterexample.mg", "--mod", "2", "--ideal", "NOPE"],
+     "no ideal section named 'NOPE'"),
+    (["gb", "none.mg"], "the problem file declares no ideal sections"),
+    (["check-lemma", CORPUS / "solve_p_demo.mg", "--oracle", "none.mg"],
+     "the problem file declares no ideal sections"),
+], ids=["gb", "torsion", "check-lemma", "arnold-verify", "file", "oracle-file"])
+def test_missing_ideal_section_is_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    (tmp_path / "none.mg").write_text("ring r = ZZ, (x), lp; stream = 2x;\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_gb_modulus_below_two_is_usage_error(capsys):
+    code, out, err = run(capsys, "gb", CORPUS / "chain_dp.mg", "--mod", "0")
+    assert code == 2 and out == ""
+    assert err == "error: modulus must be >= 2, got 0\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--coeff", "QQ", "--mod", "5"], "argument --mod: not allowed with argument --coeff"),
+    (["--coeff", "ZZ/1"], "argument --coeff: line 1, column 4: modulus must be >= 2"),
+    (["--coeff", "ZZ/"], "argument --coeff: line 1, column 4: expected 'INT'"),
+    (["--order", "xx"], "argument --order: line 1, column 1: unknown term order 'xx'"),
+], ids=["coeff-and-mod", "coeff-ZZ/1", "coeff-ZZ/", "order-xx"])
+def test_bad_domain_or_order_flag_is_usage_error(capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", str(CORPUS / "chain_dp.mg")] + flags)
+    assert exc.value.code == 2
+    assert f"modgrob gb: error: {message}" in capsys.readouterr().err
+
+
+# the flags each command reads, besides --max-pairs and --json
+_READS = {
+    "gb": {"--ideal", "--order", "--coeff", "--mod"},
+    "torsion": {"--ideal", "--order"},
+    "check-lemma": {"--ideal", "--order", "--oracle"},
+    "solve-p": {"--order", "--stream", "--oracle"},
+    "arnold-verify": {"--ideal", "--order", "--mod"},
+}
+_VALID = {"--ideal": "I", "--order": "lp", "--coeff": "ZZ", "--mod": "2",
+          "--stream": "I", "--oracle": "I"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, reads in _READS.items() for flag in _VALID
+    if flag not in reads])
+def test_flag_a_command_does_not_read_is_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(CORPUS / "chain_dp.mg"), flag, _VALID[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+_FUZZ_FILES = ["chain_dp.mg", "chain_z9_dp.mg", "pair_a.mg", "mixed.mg", "mixed_zz.mg",
+               "solve_p_demo.mg", "arnold_counterexample.mg"]
+_FUZZ_VALUES = {
+    "--ideal": ["I", "J", "G", "NOPE", ""],
+    "--order": ["lp", "dp", "xx", "block", ""],
+    "--coeff": ["ZZ", "QQ", "ZZ/9", "ZZ/5", "ZZ/1", "ZZ/", "xx"],
+    "--mod": ["2", "5", "9", "0", "-3", "x"],
+    "--stream": ["I", "NOPE"],
+    "--oracle": ["I", "NOPE", "no_such_file.mg", str(CORPUS / "chain_dp.mg")],
+    "--max-pairs": ["0", "3", "-1", "x"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_READS)), name=st.sampled_from(_FUZZ_FILES),
+       flags=st.fixed_dictionaries({}, optional={
+           flag: st.sampled_from(values) for flag, values in _FUZZ_VALUES.items()}),
+       json=st.booleans())
+def test_any_argv_ends_in_an_exit_code(command, name, flags, json):
+    """Valid or not, a command line ends in 0, 1 or 2 (argparse's SystemExit)."""
+    argv = [command, str(CORPUS / name)] + [part for item in flags.items() for part in item]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv + ["--json"] * json)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
