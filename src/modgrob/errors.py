@@ -36,10 +36,6 @@ class StreamExhausted(ModGrobError):
         super().__init__(message)
         self.certificates = tuple(certificates)
 
-    @property
-    def last_certificate(self):
-        return self.certificates[-1] if self.certificates else None
-
 
 class OracleFailure(ModGrobError):
     """The supplied oracle returned an answer the checker cannot use."""

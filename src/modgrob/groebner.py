@@ -109,6 +109,26 @@ class _Budget:
                 f"reduction budget exhausted ({self.limits.max_reductions})")
 
 
+class _TailSteps:
+    """A run's budget as ``_canonicalize`` charges it: each step counts
+    against the run's reduction limit, but not as a call of
+    ``_Budget.reduction``, which counts the steps completion spends on
+    generators and pairs."""
+
+    __slots__ = ("budget",)
+
+    def __init__(self, budget):
+        self.budget = budget
+
+    def reduction(self):
+        budget = self.budget
+        budget.reductions += 1
+        if budget.reductions > budget.limits.max_reductions:
+            raise ResourceLimitExceeded(
+                f"reduction budget exhausted ({budget.limits.max_reductions}) "
+                "while reducing the basis")
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     ring: RingDescriptor
@@ -393,15 +413,31 @@ class _Pairs:
       completion added a lead coefficient below |c_k| over m, and the check
       failed.
 
+    The first ``seeded`` elements added must be a Groebner basis (strong
+    over ZZ), the seed, and no pair between two of them is queued: the
+    incremental form of Gebauer and Moeller's update (Becker and
+    Weispfenning, Groebner Bases, 5.5).  Both arguments still hold:
+
+    - a seed S-pair reduces to zero by the seed alone, so it has a
+      representation below its T from the start.  It counts as treated,
+      never pending, for the chain criterion, and the induction above
+      starts from the seed pairs;
+    - if i and k in the G-pair argument are both seed elements, their
+      G-pair polynomial lies in the seed's ideal with lead term gcd(c_i,
+      c_k) lcm(m_i, m_k), which some seed lead term strongly divides, as
+      the seed is strong.  That is a lead coefficient over m dividing
+      gcd(c_i, c_k), below |c_k|: the same contradiction.
+
     So once every yielded pair reduces to zero, the elements form a
     Groebner basis (strong over ZZ); a skipped pair is never needed.
     """
 
-    def __init__(self, ring_, limits, chain):
+    def __init__(self, ring_, limits, chain, seeded=0):
         self.field = ring_.domain.is_field
         self.key = monomial_key(ring_.order)
         self.budget = _Budget(limits)
         self.chain = chain
+        self.seeded = seeded
         self.elements = []
         self.leads = []  # (lead coefficient, lead monomial) of each element
         self.queue = []
@@ -413,7 +449,8 @@ class _Pairs:
         self.elements.append(g)
         b, mg = leading_term(g)
         b = 1 if self.field else b
-        for i, (a, mf) in enumerate(self.leads):
+        # two seed elements make no pair: the seed treated them already
+        for i, (a, mf) in enumerate(self.leads if j >= self.seeded else ()):
             lcm = monomial_lcm(mf, mg)
             lcm_key = self.key(lcm)
             if not (lcm == monomial_mul(mf, mg) and math.gcd(a, b) == 1):
@@ -444,8 +481,13 @@ class _Pairs:
             yield kind, self.elements[i], self.elements[j]
 
 
-def _complete(gens, ring_, limits):
+def _complete(gens, ring_, limits, seeded=0):
     """Close the generators under the pairs ``_Pairs`` yields, then canonicalize.
+
+    The first ``seeded`` generators must be a reduced Groebner basis
+    (strong over ZZ).  Each is its own remainder, so it joins the basis
+    unchanged, and ``_Pairs`` treats no pair between two of them.  Only
+    callers that built that basis themselves pass it.
 
     Over QQ the elements are primitive integer polynomials (content
     removed, lead coefficient positive), S-pairs come from ``s_pair_z`` and
@@ -460,7 +502,7 @@ def _complete(gens, ring_, limits):
     key = monomial_key(ring_.order)
     sort_key = _poly_sort_key(key)
     # No chain criterion over a field keeps the pinned field pair counts.
-    pairs = _Pairs(ring_, limits, chain=not ring_.domain.is_field)
+    pairs = _Pairs(ring_, limits, chain=not ring_.domain.is_field, seeded=seeded)
     reducers = []  # the elements ascending, so that smaller reducers apply first
 
     def add_reduced(f):
@@ -479,19 +521,22 @@ def _complete(gens, ring_, limits):
     G = pairs.elements
     if pseudo:
         G = [change_domain(g, ring_.domain) for g in G]
-    return _canonicalize(G, ring_, key)
+    return _canonicalize(G, ring_, key, pairs.budget)
 
 
-def _canonicalize(G, ring_, key):
+def _canonicalize(G, ring_, key, budget=None):
     """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
 
     Over a field the first pass already gives the reduced basis and the
     second only confirms it; over ZZ a tail reduction can lower a lead
-    coefficient and so change which elements are minimal.
+    coefficient and so change which elements are minimal.  A pass that is
+    not the last takes a reduction step, and every step is charged to
+    ``budget``, the completion's own when it built G, so the loop ends.
     """
     normalize, _ = _domain_rules(ring_)
+    steps = _TailSteps(budget or _Budget(None))
     G = [normalize(g) for g in G if not g.is_zero]
-    for _ in range(1000):
+    while True:
         G.sort(key=_poly_sort_key(key))
         kept = []
         for g in G:
@@ -501,7 +546,7 @@ def _canonicalize(G, ring_, key):
         stable = True
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
-            _, r = _reduce(kept[i], others)
+            _, r = _reduce(kept[i], others, budget=steps)
             r = normalize(r)
             if r != kept[i]:
                 stable = False
@@ -510,7 +555,6 @@ def _canonicalize(G, ring_, key):
         if stable:
             G.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
             return GroebnerBasis(ring_, tuple(G), reduced=True)
-    raise ResourceLimitExceeded("basis reduction did not stabilize")
 
 
 def buchberger_field(gens, limits=None, *, ring=None):
@@ -557,14 +601,26 @@ def gb_mod_m(gens, m, limits=None, *, ring=None):
     ring_ = _common_ring(gens, ring)
     if not isinstance(ring_.domain, IntegerDomain):
         raise DomainError("gb_mod_m expects generators over ZZ")
-    base = buchberger_z(gens + [Polynomial.constant(ring_, m)], limits)
+    return _image_mod(buchberger_z(gens + [Polynomial.constant(ring_, m)], limits), m)
+
+
+def _extend_mod_m(basis, m, limits):
+    """``gb_mod_m(basis.elements, m)`` for the reduced strong basis of an
+    ideal over ZZ, seeded with it, so that its own pairs are not treated
+    again.  Only for a basis that completion built."""
+    gens = list(basis.elements) + [Polynomial.constant(basis.ring, m)]
+    return _image_mod(_complete(gens, basis.ring, limits, seeded=len(basis)), m)
+
+
+def _image_mod(base, m):
+    """The reduced basis mod m from the strong basis of <J, m> over ZZ."""
     target = ModularDomain(m)
     elements = []
     for g in base.elements:
         image = change_domain(g, target)
         if not image.is_zero:
             elements.append(image)
-    return GroebnerBasis(with_domain(ring_, target), tuple(elements), reduced=True)
+    return GroebnerBasis(with_domain(base.ring, target), tuple(elements), reduced=True)
 
 
 def gb_equal(g1, g2):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import OracleFailure, StreamExhausted
 from .groebner import (
     GroebnerBasis,
+    _extend_mod_m,
     buchberger_field,
     buchberger_z,
     gb_equal,
@@ -39,9 +40,6 @@ class GeneratorStream:
         item = self._items[self._pos]
         self._pos += 1
         return item
-
-    def reset(self):
-        self._pos = 0
 
     def __len__(self):
         return len(self._items)
@@ -142,7 +140,9 @@ def main_lemma_check(oracle, j_gens, limits=None):
         return Certificate(prefix_length=k, q_match=False, mismatches=(witness,))
 
     # One strong basis serves the torsion report, each p^a basis and the
-    # certificate; the reduced strong basis of <J, p^a> is canonical.
+    # certificate.  The saturation and each p^a basis extend it without
+    # treating its pairs again; the reduced strong basis of <J, p^a> is
+    # canonical, so the candidate is the one gb_mod_m would give.
     basis = buchberger_z(j_gens, limits)
     report = torsion_report(basis, limits)
     factors = tuple(factorize(report.exponent))
@@ -150,7 +150,7 @@ def main_lemma_check(oracle, j_gens, limits=None):
     mismatches = []
     for p, a in factors:
         m_i = p ** a
-        candidate = gb_mod_m(basis.elements, m_i, limits, ring=ring_)
+        candidate = _extend_mod_m(basis, m_i, limits)
         expected = _oracle_answer(oracle, with_domain(ring_, ModularDomain(m_i)),
                                   modulus=m_i)
         ok = gb_equal(expected, candidate)

@@ -473,25 +473,14 @@ def fresh_variable_name(existing, base="h"):
     return f"{base}{i}"
 
 
-def _shift_block_positions(order, position):
-    """Adjust Block positions for a variable inserted at ``position``."""
-    if not isinstance(order, Block):
-        return order
-    front = tuple(i + 1 if i >= position else i for i in order.front)
-    return Block(front, order.front_order, order.back_order)
-
-
-def homogenize(f, position, new_ring=None):
-    """Homogenize f with a variable at ``position`` in the extended ring.
+def homogenize(f, position, new_ring):
+    """Homogenize f with a variable at ``position`` in ``new_ring``, which
+    has one variable more than f's ring.
 
     The result is homogeneous of degree total_degree(f) and dehomogenizing
     at the same position gives f back.
     """
     old = f.ring
-    if new_ring is None:
-        name = fresh_variable_name(old.variables)
-        variables = old.variables[:position] + (name,) + old.variables[position:]
-        new_ring = RingDescriptor(variables, _shift_block_positions(old.order, position), old.domain)
     if new_ring.arity != old.arity + 1:
         raise ValueError("homogenization ring must have exactly one extra variable")
     if f.is_zero:

@@ -1,14 +1,16 @@
 """Exponent of the torsion part of ZZ[X]/J.
 
 The exponent m is the least positive integer with m * (QQ J intersect A)
-contained in J, A = ZZ[X].  It is computed by saturating J at the lcm s of
-the basis lead coefficients (adjoin s*Y - 1, eliminate Y with a block
-order), then finding the minimal integer multiplier pushing each
-contracted generator back into J.
+contained in J, A = ZZ[X].  It is computed by saturating J at rad(s), the
+product of the distinct primes of the lcm s of the basis lead coefficients
+(adjoin rad(s)*Y - 1, eliminate Y with a block order), then finding the
+minimal integer multiplier pushing each contracted generator back into J.
 """
 
+import math
 from dataclasses import dataclass
 
+from . import groebner
 from .errors import DomainError, NonMember
 from .groebner import _check_reducers, _reduce, buchberger_z, ideal_member
 from .intarith import factorize, lcm_many
@@ -35,20 +37,31 @@ class TorsionReport:
 
 
 def _contract(basis_z, limits=None):
-    """Y-free part of the strong basis of <J, s*Y - 1> under Block(Y; order)."""
+    """Y-free part of the strong basis of <J, r*Y - 1> under Block(Y; order).
+
+    ``basis_z`` is the reduced strong basis of J, s the lcm of its lead
+    coefficients and r = rad(s).  The Y-free part is J : r^oo, and J : r^oo
+    = J : s^oo because r divides s and s divides r^e, e the largest
+    exponent in s; so the reduced strong basis is the one at s.  Under the
+    block order a Y-free polynomial keeps its lead term, so the injected
+    basis is still a reduced strong basis and seeds the completion.
+    ``groebner._complete`` is looked up at call time, so that rebinding it
+    reaches the saturation as it reaches ``buchberger_z``.
+    """
     ring_ = basis_z.ring
     if not basis_z.elements:
         return []
     s = lcm_many([leading_coefficient(g) for g in basis_z.elements])
+    r = math.prod(p for p, _ in factorize(s))
     yname = fresh_variable_name(ring_.variables, "Y")
     ext_ring = RingDescriptor((yname,) + ring_.variables,
                               Block((0,), Lex(), ring_.order),
                               ring_.domain)
     y_mono = (1,) + ring_.one_monomial()
-    inverter = Polynomial.from_terms(ext_ring, [(s, y_mono), (-1, (0,) + ring_.one_monomial())])
+    inverter = Polynomial.from_terms(ext_ring, [(r, y_mono), (-1, (0,) + ring_.one_monomial())])
     ext_gens = [inject_variable(g, ext_ring, 0) for g in basis_z.elements]
     ext_gens.append(inverter)
-    eliminated = buchberger_z(ext_gens, limits)
+    eliminated = groebner._complete(ext_gens, ext_ring, limits, seeded=len(basis_z))
     picked = []
     for h in eliminated.elements:
         if leading_monomial(h)[0] == 0:
@@ -95,7 +108,11 @@ def minimal_multiplier(g, j_basis_z):
 
 
 def torsion_report(basis_z, limits=None):
-    """Torsion report of ZZ[X]/J computed from the reduced strong basis of J."""
+    """Torsion report of ZZ[X]/J computed from the reduced strong basis of J.
+
+    ``basis_z`` must be that basis, as ``buchberger_z`` returns it: the
+    saturation is seeded with it and the multipliers divide by it.
+    """
     contracted = _contract(basis_z, limits)
     multipliers = []
     for g in contracted:

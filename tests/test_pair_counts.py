@@ -131,7 +131,11 @@ def test_katsura3_mod_12(work):
 
 
 def test_tail_instance_saturation(work, monkeypatch):
-    """The heaviest criterion-1 instance, whose Y-elimination dominated."""
+    """The heaviest criterion-1 instance, whose Y-elimination dominated.
+
+    The saturation runs at rad(s) and is seeded with the strong basis, so
+    it treats no pair inside that basis: 512 / 31 / 27,511 pair
+    polynomials and steps became 207 / 22 / 5,233."""
     ring_ = ring(("z", "y", "x"), DegRevLex(), ZZ)
     gens = [parse_polynomial(text, ring_)
             for text in ("6y^3+7y", "-4y^3+zy-2x", "6z^2yx+5z^2y-4y^2x")]
@@ -146,14 +150,15 @@ def test_tail_instance_saturation(work, monkeypatch):
 
     monkeypatch.setattr(torsion, "_contract", counting_contract)
     report = torsion_exponent(gens)
-    assert saturation == {"s_pair_z": 512, "g_pair_z": 31, "s_polynomial_field": 0,
-                          "reductions": 27511}
-    assert work == {"s_pair_z": 740, "g_pair_z": 49, "s_polynomial_field": 0,
-                    "reductions": 29977}
+    assert saturation == {"s_pair_z": 207, "g_pair_z": 22, "s_polynomial_field": 0,
+                          "reductions": 5233}
+    assert work == {"s_pair_z": 435, "g_pair_z": 40, "s_polynomial_field": 0,
+                    "reductions": 7699}
     assert report.exponent == 2 and len(report.saturation_basis) == 13
 
 
 KATSURA3_ZZ_PAIRS = 122 + 8  # the pinned pair polynomials of katsura3 over ZZ
+KATSURA3_ZZ_STEPS = 1739  # its pinned completion steps, before the basis reduction
 
 
 def test_pair_budget_counts_only_built_pairs():
@@ -188,3 +193,48 @@ def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_pairs):
     built = work["s_polynomial_field"] + work["s_pair_z"] - before
     assert (built, completions[0]) == (s_pairs, 1)
     assert report.condition2 and report.condition3
+
+
+def test_reduction_budget_bounds_canonicalization():
+    """The basis reduction after completion charges the completion's budget:
+    katsura3 over ZZ reduces its basis in 12 more steps."""
+    with pytest.raises(ResourceLimitExceeded) as err:
+        buchberger_z(katsura(3, ZZ), Limits(max_reductions=KATSURA3_ZZ_STEPS))
+    assert any(entry.name == "_canonicalize" for entry in err.traceback)
+    limits = Limits(max_reductions=KATSURA3_ZZ_STEPS + 12)
+    assert len(buchberger_z(katsura(3, ZZ), limits)) == 12
+    with pytest.raises(ResourceLimitExceeded):
+        buchberger_z(katsura(3, ZZ), Limits(max_reductions=KATSURA3_ZZ_STEPS + 11))
+
+
+# Criterion-1 prefixes (seed 20260808) whose saturation was the costliest,
+# with instance 053 the tail instance above: (variables, generators).
+CERTIFY_PREFIXES = {
+    "053": ("zyx", ("6y^3+7y", "-4y^3+zy-2x", "6z^2yx+5z^2y-4y^2x")),
+    "024": ("zyx", ("z^2y^2+6zy+4x", "-7y^3+2yx", "8zyx^2")),
+    "074": ("zyx", ("-7z^2x+5zx-7y", "-8z^3")),
+    "119": ("zyx", ("-7z^2yx-4y^2", "-3zyx^2+2y^2x^2+4yx")),
+    "166": ("yx", ("9x^3-9yx-7x^2", "-3y^3x", "-5y^2x+8y^2+6y")),
+}
+
+
+@pytest.mark.parametrize("instance, exponent, s_pairs, g_pairs, reductions", [
+    ("053", 2, 207, 22, 5233),
+    ("024", 296352, 603, 29, 2737),
+    ("074", 2744, 359, 24, 786),
+    ("119", 16, 139, 10, 737),
+    ("166", 108, 64, 6, 139),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_certify_saturation_work(work, instance, exponent, s_pairs, g_pairs, reductions):
+    """The saturation in a certificate is seeded with the strong basis and
+    runs at rad(s): its pair polynomials and steps are pinned here, so a
+    seed that treats its pairs again, or a saturation at s, fails."""
+    variables, texts = CERTIFY_PREFIXES[instance]
+    ring_ = ring(tuple(variables), DegRevLex(), ZZ)
+    basis = buchberger_z([parse_polynomial(text, ring_) for text in texts])
+    before = dict(work)
+    report = torsion.torsion_report(basis)
+    spent = {name: work[name] - before[name] for name in work}
+    assert report.exponent == exponent
+    assert spent == {"s_pair_z": s_pairs, "g_pair_z": g_pairs, "s_polynomial_field": 0,
+                     "reductions": reductions}

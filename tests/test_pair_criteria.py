@@ -75,11 +75,12 @@ class _ReducerView:
         self.polys.insert(pos, poly)
 
 
-def reference_complete(gens, ring_, limits):
+def reference_complete(gens, ring_, limits, seeded=0):
     """Close the generators under their pair polynomials, then canonicalize.
 
     Pairs pop by the order key of their lcm, S-pairs before G-pairs on the
-    same lcm, then in creation order.
+    same lcm, then in creation order.  ``seeded`` is ignored: the reference
+    builds the pairs of a seed too.
     """
     normalize, pair_functions = _domain_rules(ring_)
     budget = _Budget(limits)

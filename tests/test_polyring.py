@@ -27,6 +27,7 @@ from modgrob import (
     parse_polynomial,
 )
 from modgrob.polyring import (
+    fresh_variable_name,
     monomial_key,
     monomial_mul,
     poly_to_string,
@@ -46,6 +47,13 @@ def cmp(a, b, order):
     """Three-way comparison of two monomials by their order keys."""
     key = monomial_key(order)
     return (key(a) > key(b)) - (key(a) < key(b))
+
+
+def homogenizing_ring(ring_, position):
+    """ring_ with a fresh variable at ``position``; its order has no blocks."""
+    name = fresh_variable_name(ring_.variables)
+    variables = ring_.variables[:position] + (name,) + ring_.variables[position:]
+    return ring(variables, ring_.order, ring_.domain)
 
 
 def dehomogenize(h, position, ring_):
@@ -179,7 +187,7 @@ def test_leading_term_of_zero_raises():
 def test_homogenize_linear():
     ring1 = ring(("x",), Lex(), ZZ)
     f = parse_polynomial("2x+1", ring1)
-    h = homogenize(f, 1)
+    h = homogenize(f, 1, homogenizing_ring(ring1, 1))
     assert is_homogeneous(h)
     assert str(h) == "2x+h"
     assert dehomogenize(h, 1, ring1) == f
@@ -187,7 +195,7 @@ def test_homogenize_linear():
 
 def test_homogenize_no_op_when_homogeneous():
     f = P("x2+xy")
-    h = homogenize(f, 2)
+    h = homogenize(f, 2, homogenizing_ring(R2, 2))
     assert [m[:2] for _, m in h.terms] == [m for _, m in f.terms]
     assert all(m[2] == 0 for _, m in h.terms)
 
@@ -197,7 +205,8 @@ def test_homogenize_no_op_when_homogeneous():
 def test_homogenize_round_trip_and_products(data):
     _, (f, g) = data
     n = f.ring.arity
-    hf, hg = homogenize(f, n), homogenize(g, n)
+    ring_h = homogenizing_ring(f.ring, n)
+    hf, hg = homogenize(f, n, ring_h), homogenize(g, n, ring_h)
     assert dehomogenize(hf, n, f.ring) == f
     assert is_homogeneous(hf) and is_homogeneous(hg)
     # products of homogenized factors dehomogenize to the plain product
