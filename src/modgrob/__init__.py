@@ -20,7 +20,7 @@ from .errors import (
     StreamExhausted,
     ZeroPolynomial,
 )
-from .formatting import format_basis, format_polynomial
+from .formatting import format_basis
 from .groebner import (
     GroebnerBasis,
     Limits,
@@ -35,7 +35,7 @@ from .groebner import (
     s_pair_z,
     s_polynomial_field,
 )
-from .intarith import crt_coefficients, ext_gcd, factorize, is_prime, lcm_many
+from .intarith import crt_coefficients, ext_gcd, factorize, is_prime
 from .lemma import (
     Certificate,
     GeneratorStream,
@@ -70,7 +70,6 @@ from .polyring import (
 from .torsion import (
     TorsionReport,
     minimal_multiplier,
-    saturation_contraction,
     torsion_exponent,
 )
 
@@ -78,17 +77,16 @@ __all__ = [
     "ArnoldReport", "arnold_conditions", "homogenize_ideal", "DomainError",
     "InvalidLimit", "ModGrobError", "NonMember", "NotCoprime", "OracleFailure",
     "ParseError", "ResourceLimitExceeded", "RingMismatch", "StreamExhausted",
-    "ZeroPolynomial", "format_basis", "format_polynomial", "GroebnerBasis",
-    "Limits", "buchberger_field", "buchberger_z", "g_pair_z", "gb_equal",
-    "gb_mod_m", "ideal_member", "is_groebner_basis", "normal_form", "s_pair_z",
+    "ZeroPolynomial", "format_basis", "GroebnerBasis", "Limits",
+    "buchberger_field", "buchberger_z", "g_pair_z", "gb_equal", "gb_mod_m",
+    "ideal_member", "is_groebner_basis", "normal_form", "s_pair_z",
     "s_polynomial_field", "crt_coefficients", "ext_gcd", "factorize",
-    "is_prime", "lcm_many", "Certificate", "GeneratorStream", "IdealOracle",
+    "is_prime", "Certificate", "GeneratorStream", "IdealOracle",
     "main_lemma_check", "solve_problem_p", "ProblemFile", "parse_polynomial",
     "parse_problem", "QQ", "ZZ", "Block", "DegRevLex", "IntegerDomain", "Lex",
     "ModularDomain", "Polynomial", "RationalDomain", "RingDescriptor",
-    "change_domain", "homogenize", "is_homogeneous",
-    "leading_coefficient", "leading_monomial", "leading_term", "monic",
-    "monomial_div", "monomial_divides", "monomial_lcm", "ring",
-    "TorsionReport", "minimal_multiplier", "saturation_contraction",
-    "torsion_exponent",
+    "change_domain", "homogenize", "is_homogeneous", "leading_coefficient",
+    "leading_monomial", "leading_term", "monic", "monomial_div",
+    "monomial_divides", "monomial_lcm", "ring", "TorsionReport",
+    "minimal_multiplier", "torsion_exponent",
 ]

@@ -28,13 +28,9 @@ class NonMember(ModGrobError):
 class StreamExhausted(ModGrobError):
     """The generator stream ran dry before any prefix was accepted.
 
-    Carries the rejection certificates gathered along the way so callers
-    can inspect why each prefix failed.
+    ``solve_problem_p`` appends each rejection certificate to its
+    ``history`` list, for callers that want to see why each prefix failed.
     """
-
-    def __init__(self, message, certificates=()):
-        super().__init__(message)
-        self.certificates = tuple(certificates)
 
 
 class OracleFailure(ModGrobError):

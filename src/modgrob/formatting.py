@@ -11,10 +11,6 @@ from .polyring import poly_to_string
 MACHINE_HEADER = "modgrob-machine 1"
 
 
-def format_polynomial(f):
-    return poly_to_string(f)
-
-
 def format_basis(basis):
     """One polynomial per line, smallest leading monomial first.
 

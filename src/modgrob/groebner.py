@@ -525,36 +525,29 @@ def _complete(gens, ring_, limits, seeded=0):
 
 
 def _canonicalize(G, ring_, key, budget=None):
-    """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
+    """Minimize and (strongly) tail-reduce a complete basis in one pass.
 
-    Over a field the first pass already gives the reduced basis and the
-    second only confirms it; over ZZ a tail reduction can lower a lead
-    coefficient and so change which elements are minimal.  A pass that is
-    not the last takes a reduction step, and every step is charged to
-    ``budget``, the completion's own when it built G, so the loop ends.
+    G is complete (strong over ZZ).  For kept g, h with leads c*m, d*m'
+    and m' | m, some kept lead strongly divides the lead gcd(c, d)*m of a
+    combination of g and h; by minimality it is g's, so c | d, and c != d
+    or h would strongly divide g.  So d > c, c divided by d is 0, and no
+    step touches a lead term; over a field no other lead monomial divides
+    m.  One pass leaves every tail irreducible by unchanged, normalized
+    leads: the reduced basis.  Steps are charged to ``budget``, the
+    completion's own when it built G.
     """
     normalize, _ = _domain_rules(ring_)
     steps = _TailSteps(budget or _Budget(None))
-    G = [normalize(g) for g in G if not g.is_zero]
-    while True:
-        G.sort(key=_poly_sort_key(key))
-        kept = []
-        for g in G:
-            lt = leading_term(g)
-            if not any(_strongly_divides(leading_term(h), lt) for h in kept):
-                kept.append(g)
-        stable = True
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            _, r = _reduce(kept[i], others, budget=steps)
-            r = normalize(r)
-            if r != kept[i]:
-                stable = False
-            kept[i] = r
-        G = [g for g in kept if not g.is_zero]
-        if stable:
-            G.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
-            return GroebnerBasis(ring_, tuple(G), reduced=True)
+    G = sorted((normalize(g) for g in G if not g.is_zero), key=_poly_sort_key(key))
+    kept = []
+    for g in G:
+        lt = leading_term(g)
+        if not any(_strongly_divides(leading_term(h), lt) for h in kept):
+            kept.append(g)
+    for i in range(len(kept)):
+        kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], budget=steps)[1]
+    kept.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
+    return GroebnerBasis(ring_, tuple(kept), reduced=True)
 
 
 def buchberger_field(gens, limits=None, *, ring=None):

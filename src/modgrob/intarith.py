@@ -35,11 +35,6 @@ def ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def lcm_many(xs):
-    """Least common multiple of a sequence, >= 0; the empty lcm is 1."""
-    return math.lcm(*xs)
-
-
 def crt_coefficients(moduli):
     """Bezout coefficients b_i with sum(b_i * c_i) == 1, c_i = m / m_i.
 

@@ -172,19 +172,15 @@ def solve_problem_p(stream, oracle, limits=None, history=None):
 
     Returns (strong ZZ basis of I, accepting certificate).  If ``history``
     is a list, every rejection certificate is appended to it.  Raises
-    StreamExhausted (carrying the rejection certificates) when the finite
-    stream ends without acceptance.
+    StreamExhausted when the finite stream ends without acceptance.
     """
     j_gens = []
-    rejected = []
     while not stream.exhausted:
         j_gens.append(stream.next())
         certificate = main_lemma_check(oracle, j_gens, limits)
         if certificate.accepted:
             return certificate.basis, certificate
-        rejected.append(certificate)
         if history is not None:
             history.append(certificate)
     raise StreamExhausted(
-        f"stream ended after {len(j_gens)} generators without an accepted prefix",
-        certificates=rejected)
+        f"stream ended after {len(j_gens)} generators without an accepted prefix")

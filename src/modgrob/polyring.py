@@ -118,9 +118,10 @@ class DegRevLex:
 class Block:
     """Elimination order: compare the front sub-vector first, then the rest.
 
-    ``front`` holds variable positions; the complement keeps its original
-    relative order and is compared with ``back_order``.  Positions inside
-    the nested orders refer to the respective sub-vectors.
+    ``front`` holds the positions 0 .. k-1 of the first k variables, which
+    are compared with ``front_order``, the remaining ones with
+    ``back_order``.  Positions inside the nested orders refer to the
+    respective sub-vectors.
     """
 
     front: tuple
@@ -128,8 +129,8 @@ class Block:
     back_order: "TermOrder"
 
     def __post_init__(self):
-        if len(set(self.front)) != len(self.front):
-            raise ValueError("duplicate positions in block front")
+        if self.front != tuple(range(len(self.front))):
+            raise ValueError(f"block front must be a prefix 0 .. k-1, got {self.front}")
 
 
 TermOrder = Lex | DegRevLex | Block
@@ -148,21 +149,12 @@ def monomial_key(order):
             return (sum(e), *map(neg, reversed(e)))
         return key
     if isinstance(order, Block):
-        front = order.front
         fkey = monomial_key(order.front_order)
         bkey = monomial_key(order.back_order)
-        cut = max(front, default=-1) + 1
-        if front == tuple(range(cut)):
-            # the front is a prefix, as the Y of a saturation is
-            def key(e):
-                return fkey(e[:cut]) + bkey(e[cut:])
-            return key
-        skipped = tuple(i for i in range(cut) if i not in front)
+        cut = len(order.front)
 
         def key(e):
-            pick = e.__getitem__
-            return (fkey(tuple(map(pick, front)))
-                    + bkey(tuple(map(pick, skipped)) + e[cut:]))
+            return fkey(e[:cut]) + bkey(e[cut:])
         return key
     raise TypeError(f"unknown term order {order!r}")
 
@@ -185,10 +177,6 @@ def monomial_div(a, b):
     if not monomial_divides(b, a):
         raise ValueError(f"{b} does not divide {a}")
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def monomial_degree(a):
-    return sum(a)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +321,8 @@ def poly_add(f, g):
     return Polynomial(f.ring, tuple(out))
 
 
-def poly_neg(f):
-    return poly_scale(f, -1)
-
-
 def poly_sub(f, g):
-    return poly_add(f, poly_neg(g))
+    return poly_add(f, poly_scale(g, -1))
 
 
 def poly_scale(f, c):
@@ -403,13 +387,13 @@ def total_degree(f):
     """Max total degree of the terms; -1 for the zero polynomial."""
     if f.is_zero:
         return -1
-    return max(monomial_degree(m) for _, m in f.terms)
+    return max(sum(m) for _, m in f.terms)
 
 
 def is_homogeneous(f):
     if f.is_zero:
         return True
-    degs = {monomial_degree(m) for _, m in f.terms}
+    degs = {sum(m) for _, m in f.terms}
     return len(degs) == 1
 
 
@@ -488,7 +472,7 @@ def homogenize(f, position, new_ring):
     deg = total_degree(f)
     pairs = []
     for c, mono in f.terms:
-        filler = deg - monomial_degree(mono)
+        filler = deg - sum(mono)
         pairs.append((c, mono[:position] + (filler,) + mono[position:]))
     return Polynomial.from_terms(new_ring, pairs)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import groebner
 from .errors import DomainError, NonMember
 from .groebner import _check_reducers, _reduce, buchberger_z, ideal_member
-from .intarith import factorize, lcm_many
+from .intarith import factorize
 from .polyring import (
     Block,
     IntegerDomain,
@@ -32,7 +32,7 @@ from .polyring import (
 @dataclass(frozen=True)
 class TorsionReport:
     exponent: int
-    saturation_basis: tuple  # Y-free contracted generators, a strong basis
+    saturation_basis: tuple  # strong basis of QQ J intersect ZZ[X]
     multipliers: tuple       # ((g, m_g), ...) aligned with saturation_basis
 
 
@@ -51,7 +51,7 @@ def _contract(basis_z, limits=None):
     ring_ = basis_z.ring
     if not basis_z.elements:
         return []
-    s = lcm_many([leading_coefficient(g) for g in basis_z.elements])
+    s = math.lcm(*(leading_coefficient(g) for g in basis_z.elements))
     r = math.prod(p for p, _ in factorize(s))
     yname = fresh_variable_name(ring_.variables, "Y")
     ext_ring = RingDescriptor((yname,) + ring_.variables,
@@ -69,20 +69,6 @@ def _contract(basis_z, limits=None):
             # monomial forces the whole polynomial to be Y-free.
             picked.append(drop_variable(h, 0, ring_))
     return picked
-
-
-def saturation_contraction(j_gens, limits=None):
-    """Generators of QQ J intersect ZZ[X], as a strong basis over ZZ.
-
-    Returned in the canonical basis order (lead monomials descending);
-    the zero ideal contracts to the empty list.
-    """
-    j_gens = list(j_gens)
-    ring_ = j_gens[0].ring if j_gens else None
-    if ring_ is not None and not isinstance(ring_.domain, IntegerDomain):
-        raise DomainError("saturation works over ZZ")
-    basis = buchberger_z(j_gens, limits)
-    return _contract(basis, limits)
 
 
 def minimal_multiplier(g, j_basis_z):
@@ -117,7 +103,7 @@ def torsion_report(basis_z, limits=None):
     multipliers = []
     for g in contracted:
         multipliers.append((g, minimal_multiplier(g, basis_z)))
-    exponent = lcm_many([m for _, m in multipliers])
+    exponent = math.lcm(*(m for _, m in multipliers))
     return TorsionReport(exponent=exponent,
                          saturation_basis=tuple(contracted),
                          multipliers=tuple(multipliers))
@@ -126,6 +112,8 @@ def torsion_report(basis_z, limits=None):
 def torsion_exponent(j_gens, limits=None):
     """Torsion exponent of ZZ[X]/J with the contracted basis and multipliers.
 
+    The contracted basis generates QQ J intersect ZZ[X] as a strong basis
+    over ZZ, lead monomials descending; the zero ideal contracts to none.
     The exponent is 1 exactly when the quotient is torsion-free.
     """
     j_gens = list(j_gens)

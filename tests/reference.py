@@ -1,0 +1,443 @@
+"""Frozen copies of package code: the specifications of differential tests.
+
+Each function or class is package code as it stood before a change, its
+body verbatim.  Two frozen versions of ``_reduce`` exist, so the copies
+are renamed by what they specify:
+
+- ``reference_reduce``: the division loop before the kernel inlined its
+  monomial arithmetic, memoised order keys and dropped the coefficient
+  normalisation over ZZ and QQ (``test_reduce_reference``; its quotient
+  mode rebuilds cofactor multipliers in ``test_torsion``);
+- ``fraction_complete``, ``fraction_reduce`` and ``fraction_canonicalize``:
+  ``_complete``, ``_reduce`` and ``_canonicalize`` when completion over QQ
+  still computed with ``Fraction`` coefficients and monic elements, with
+  ``_chain_skips`` and ``_g_pair_skips``, the helpers of that time
+  (``test_qq_fraction_free``);
+- ``criteria_free_complete``: the completion loop before the chain and
+  G-pair criteria, with the product criterion and parent subsumption only
+  (``test_pair_criteria``);
+- ``fixed_point_canonicalize``: ``_canonicalize`` when it repeated
+  minimization and tail reduction until a pass changed nothing
+  (``test_canonicalize``);
+- ``_ReducerView``: the sorted reducer list of those completion loops.
+"""
+
+import bisect
+import heapq
+import math
+from operator import add, le, neg, sub
+
+from modgrob import ModularDomain, Polynomial, ResourceLimitExceeded
+from modgrob.groebner import (
+    G_PAIR,
+    S_PAIR,
+    GroebnerBasis,
+    _Budget,
+    _canonicalize,
+    _domain_rules,
+    _poly_sort_key,
+    _reduce,
+    _strongly_divides,
+    _TailSteps,
+)
+from modgrob.polyring import (
+    leading_coefficient,
+    leading_monomial,
+    leading_term,
+    monomial_div,
+    monomial_divides,
+    monomial_key,
+    monomial_lcm,
+    monomial_mul,
+)
+
+
+class _ReducerView:
+    """Working basis kept sorted ascending by lead monomial, so smaller
+    reducers apply first; insertion keeps pair indices stable elsewhere."""
+
+    def __init__(self, key):
+        self._sort_key = _poly_sort_key(key)
+        self._entries = []  # (sort key, insertion counter, poly)
+        self._counter = 0
+        self.polys = []
+
+    def insert(self, poly):
+        entry = (self._sort_key(poly), self._counter, poly)
+        self._counter += 1
+        pos = bisect.bisect(self._entries, entry)
+        self._entries.insert(pos, entry)
+        self.polys.insert(pos, poly)
+
+
+def reference_reduce(f, reducers, want_quotients=False, budget=None):
+    """Shared division loop; deterministic: first eligible reducer wins.
+
+    Returns (quotients, remainder).  A term is moved to the remainder only
+    once no reducer changes it, which over ZZ / ZZ/m means its coefficient
+    is the canonical residue for every applicable lead coefficient.
+
+    The current largest monomial comes from a lazy max-heap (entries whose
+    monomial dropped out of the working dict are skipped on pop), so keys
+    are computed once per introduced monomial instead of once per sweep.
+    """
+    dom = f.ring.domain
+    key = monomial_key(f.ring.order)
+    leads = [(leading_monomial(g), leading_coefficient(g)) for g in reducers]
+    work = {mono: c for c, mono in f.terms}
+    heap = [(tuple(-v for v in key(mono)), mono) for mono in work]
+    heapq.heapify(heap)
+    rem = []
+    quotients = [{} for _ in reducers] if want_quotients else None
+    while heap:
+        negkey, mono = heapq.heappop(heap)
+        c = work.get(mono)
+        if c is None:
+            continue
+        progressed = False
+        for idx, (gm, gc) in enumerate(leads):
+            if not monomial_divides(gm, mono):
+                continue
+            q, _ = dom.coeff_divmod(c, gc)
+            if q == 0:
+                continue
+            if budget is not None:
+                budget.reduction()
+            shift = monomial_div(mono, gm)
+            for tc, tm in reducers[idx].terms:
+                target = monomial_mul(tm, shift)
+                old = work.get(target)
+                v = dom.normalize((old or 0) - q * tc)
+                if v == 0:
+                    if old is not None:
+                        del work[target]
+                elif old is None:
+                    work[target] = v
+                    heapq.heappush(heap, (tuple(-u for u in key(target)), target))
+                else:
+                    work[target] = v
+            if want_quotients:
+                quotients[idx][shift] = quotients[idx].get(shift, 0) + q
+            progressed = True
+            break
+        if not progressed:
+            rem.append((c, mono))
+            del work[mono]
+        elif mono in work:
+            # partially reduced lead coefficient: revisit the same monomial
+            heapq.heappush(heap, (negkey, mono))
+    remainder = Polynomial(f.ring, tuple(rem))
+    if want_quotients:
+        qpolys = [Polynomial.from_terms(f.ring, [(c, m) for m, c in qd.items()])
+                  for qd in quotients]
+        return qpolys, remainder
+    return None, remainder
+
+
+def fraction_reduce(f, reducers, want_quotients=False, budget=None):
+    """Shared division loop; deterministic: first eligible reducer wins.
+
+    Returns (quotients, remainder).  A term is moved to the remainder only
+    once no reducer changes it, which over ZZ / ZZ/m means its coefficient
+    is the canonical residue for every applicable lead coefficient.
+
+    The current largest monomial comes from a lazy max-heap (entries whose
+    monomial dropped out of the working dict are skipped on pop).  Each
+    monomial's negated order key is computed once per call and kept in a
+    dict that dies with the call.  Monomial arithmetic is inlined as
+    ``map`` over ``operator`` functions, and new coefficients are only
+    reduced mod m over ZZ/m: int and Fraction arithmetic is already
+    canonical over ZZ and QQ.
+    """
+    dom = f.ring.domain
+    coeff_divmod = dom.coeff_divmod
+    modulus = dom.modulus if isinstance(dom, ModularDomain) else None
+    key = monomial_key(f.ring.order)
+    leads = []
+    for g in reducers:
+        lc, lm = leading_term(g)
+        leads.append((lm, lc, g.terms[1:]))
+    work = {mono: c for c, mono in f.terms}
+    negkeys = {mono: tuple(map(neg, key(mono))) for mono in work}
+    heap = [(nk, mono) for mono, nk in negkeys.items()]
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    rem = []
+    quotients = [{} for _ in reducers] if want_quotients else None
+    while heap:
+        negkey, mono = heappop(heap)
+        c = work.get(mono)
+        if c is None:
+            continue
+        for idx, (gm, gc, gtail) in enumerate(leads):
+            if not all(map(le, gm, mono)):
+                continue
+            q, _ = coeff_divmod(c, gc)
+            if q == 0:
+                continue
+            if budget is not None:
+                budget.reduction()
+            # The lead term lands on mono itself, every other term below it.
+            c -= q * gc
+            shift = tuple(map(sub, mono, gm))
+            for tc, tm in gtail:
+                target = tuple(map(add, tm, shift))
+                old = work.get(target)
+                if old is None:
+                    v = -q * tc
+                    if modulus is not None:
+                        v %= modulus
+                    if v != 0:
+                        work[target] = v
+                        nk = negkeys.get(target)
+                        if nk is None:
+                            nk = negkeys[target] = tuple(map(neg, key(target)))
+                        heappush(heap, (nk, target))
+                else:
+                    v = old - q * tc
+                    if modulus is not None:
+                        v %= modulus
+                    if v == 0:
+                        del work[target]
+                    else:
+                        work[target] = v
+            if want_quotients:
+                quotients[idx][shift] = quotients[idx].get(shift, 0) + q
+            break
+        else:
+            rem.append((c, mono))
+            del work[mono]
+            continue
+        if modulus is not None:
+            c %= modulus
+        if c == 0:
+            del work[mono]
+        else:
+            # partially reduced lead coefficient: revisit the same monomial
+            work[mono] = c
+            heappush(heap, (negkey, mono))
+    remainder = Polynomial(f.ring, tuple(rem))
+    if want_quotients:
+        qpolys = [Polynomial.from_terms(f.ring, [(c, m) for m, c in qd.items()])
+                  for qd in quotients]
+        return qpolys, remainder
+    return None, remainder
+
+
+def _chain_skips(leads, i, j, pending):
+    """Chain criterion for S-pair (i, j) over lead terms (c, m): some k other
+    than i and j has lt_k dividing lcm(c_i, c_j) lcm(m_i, m_j), and neither
+    S-pair (i, k) nor (j, k) is pending."""
+    (a, mf), (b, mg) = leads[i], leads[j]
+    c, lcm = math.lcm(a, b), monomial_lcm(mf, mg)
+    return any(c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (ck, mk) in enumerate(leads))
+
+
+def _g_pair_skips(leads, i, j):
+    """G-pair criterion: some lead term strongly divides gcd(c_i, c_j) lcm(m_i, m_j)."""
+    (a, mf), (b, mg) = leads[i], leads[j]
+    c, lcm = math.gcd(a, b), monomial_lcm(mf, mg)
+    return any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads)
+
+
+def fraction_complete(gens, ring_, limits):
+    """Close the generators under their pair polynomials, then canonicalize.
+
+    Pairs pop by the order key of their lcm, S-pairs before G-pairs on the
+    same lcm, then in creation order.  A pair skipped by a criterion builds
+    no polynomial and costs nothing against ``Limits.max_pairs``.
+
+    Over ZZ two criteria skip pairs when they are popped; write lt_i =
+    c_i m_i and T_ij = lcm(c_i, c_j) lcm(m_i, m_j).
+
+    - Chain criterion: S-pair (i, j) is skipped when some k other than i
+      and j has lt_k dividing T_ij (c_k | lcm(c_i, c_j), m_k | lcm(m_i,
+      m_j)) and neither S-pair (i, k) nor (j, k) is still queued.  Over a
+      PID the S-syzygies of the lead terms generate their syzygy module,
+      and then S_ij = (T_ij / T_ik) S_ik + (T_ij / T_kj) S_kj, so S_ij
+      lifts once S_ik and S_kj do.  Those two left the queue earlier,
+      reduced, dropped by the product criterion or skipped in turn, so
+      induction on the time a pair left the queue gives a lift for every
+      S-pair: the basis is a (weak) Groebner basis.
+    - G-pair criterion: G-pair (i, j) is skipped when a current lead term
+      strongly divides gcd(c_i, c_j) lcm(m_i, m_j).  Elements never leave
+      the working basis, so it still does at the end.  Were the basis
+      then not strong, some monomial m would have lead coefficients
+      c_i, c_k over it (m_i, m_k | m), c_k the least, with c_k not
+      dividing c_i.  Their G-pair was not subsumed by a parent, and not
+      skipped, since that needs a lead coefficient dividing gcd(c_i, c_k)
+      < c_k over m.  So it was reduced; every lead coefficient over m is
+      >= c_k > gcd(c_i, c_k) > 0, so its lead term stayed and joined the
+      basis, contradicting the choice of c_k.
+
+    Over a field neither criterion runs, so the field path makes exactly
+    the pairs it made before; enabling them there is left to a change
+    that may move the pinned field pair counts.
+    """
+    normalize, pair_functions = _domain_rules(ring_)
+    criteria = not ring_.domain.is_field
+    budget = _Budget(limits)
+    key = monomial_key(ring_.order)
+    G = []
+    leads = []  # (lead coefficient, lead monomial) of each element of G
+    view = _ReducerView(key)
+    queue = []
+    pending = set()  # queued S-pairs (i, j), i < j
+    counter = 0
+
+    def add_reduced(f):
+        """Reduce f; a nonzero remainder joins G along with its pairs."""
+        nonlocal counter
+        _, r = fraction_reduce(f, view.polys, budget=budget)
+        if r.is_zero:
+            return
+        new_index = len(G)
+        G.append(normalize(r))
+        view.insert(G[-1])
+        b, mg = leading_term(G[-1])
+        leads.append((b, mg))
+        for i in range(new_index):
+            a, mf = leads[i]
+            lcm = monomial_lcm(mf, mg)
+            # Product criterion: over ZZ it is only sound when the lead
+            # coefficients are coprime as well; monic elements always are.
+            if not (lcm == monomial_mul(mf, mg) and (a == 1 or math.gcd(a, b) == 1)):
+                heapq.heappush(queue, (key(lcm), S_PAIR, counter, i, new_index))
+                pending.add((i, new_index))
+                counter += 1
+            # A G-pair is subsumed by one of its parents when one lead
+            # coefficient divides the other, as 1 always divides 1.
+            if not (b % a == 0 or a % b == 0):
+                heapq.heappush(queue, (key(lcm), G_PAIR, counter, i, new_index))
+                counter += 1
+
+    for g in gens:
+        if not g.is_zero:
+            add_reduced(g)
+    while queue:
+        _, kind, _, i, j = heapq.heappop(queue)
+        if kind == S_PAIR:
+            pending.discard((i, j))
+            if criteria and _chain_skips(leads, i, j, pending):
+                continue
+        elif _g_pair_skips(leads, i, j):
+            continue
+        budget.pair()
+        add_reduced(pair_functions[kind](G[i], G[j]))
+    return fraction_canonicalize(G, ring_, key)
+
+
+def fraction_canonicalize(G, ring_, key):
+    """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
+
+    Over a field the first pass already gives the reduced basis and the
+    second only confirms it; over ZZ a tail reduction can lower a lead
+    coefficient and so change which elements are minimal.
+    """
+    normalize, _ = _domain_rules(ring_)
+    G = [normalize(g) for g in G if not g.is_zero]
+    for _ in range(1000):
+        G.sort(key=_poly_sort_key(key))
+        kept = []
+        for g in G:
+            lt = leading_term(g)
+            if not any(_strongly_divides(leading_term(h), lt) for h in kept):
+                kept.append(g)
+        stable = True
+        for i in range(len(kept)):
+            others = kept[:i] + kept[i + 1:]
+            _, r = fraction_reduce(kept[i], others)
+            r = normalize(r)
+            if r != kept[i]:
+                stable = False
+            kept[i] = r
+        G = [g for g in kept if not g.is_zero]
+        if stable:
+            G.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
+            return GroebnerBasis(ring_, tuple(G), reduced=True)
+    raise ResourceLimitExceeded("basis reduction did not stabilize")
+
+
+def criteria_free_complete(gens, ring_, limits, seeded=0):
+    """Close the generators under their pair polynomials, then canonicalize.
+
+    Pairs pop by the order key of their lcm, S-pairs before G-pairs on the
+    same lcm, then in creation order.  ``seeded`` is ignored: the reference
+    builds the pairs of a seed too.
+    """
+    normalize, pair_functions = _domain_rules(ring_)
+    budget = _Budget(limits)
+    key = monomial_key(ring_.order)
+    G = []
+    view = _ReducerView(key)
+    queue = []
+    counter = 0
+
+    def add_reduced(f):
+        """Reduce f; a nonzero remainder joins G along with its pairs."""
+        nonlocal counter
+        _, r = _reduce(f, view.polys, budget=budget)
+        if r.is_zero:
+            return
+        new_index = len(G)
+        G.append(normalize(r))
+        view.insert(G[-1])
+        b, mg = leading_term(G[-1])
+        for i in range(new_index):
+            a, mf = leading_term(G[i])
+            lcm = monomial_lcm(mf, mg)
+            # Product criterion: over ZZ it is only sound when the lead
+            # coefficients are coprime as well; monic elements always are.
+            if not (lcm == monomial_mul(mf, mg) and (a == 1 or math.gcd(a, b) == 1)):
+                heapq.heappush(queue, (key(lcm), S_PAIR, counter, i, new_index))
+                counter += 1
+            # A G-pair is subsumed by one of its parents when one lead
+            # coefficient divides the other, as 1 always divides 1.
+            if not (b % a == 0 or a % b == 0):
+                heapq.heappush(queue, (key(lcm), G_PAIR, counter, i, new_index))
+                counter += 1
+
+    for g in gens:
+        if not g.is_zero:
+            add_reduced(g)
+    while queue:
+        _, kind, _, i, j = heapq.heappop(queue)
+        budget.pair()
+        add_reduced(pair_functions[kind](G[i], G[j]))
+    return _canonicalize(G, ring_, key)
+
+
+def fixed_point_canonicalize(G, ring_, key, budget=None):
+    """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
+
+    Over a field the first pass already gives the reduced basis and the
+    second only confirms it; over ZZ a tail reduction can lower a lead
+    coefficient and so change which elements are minimal.  A pass that is
+    not the last takes a reduction step, and every step is charged to
+    ``budget``, the completion's own when it built G, so the loop ends.
+    """
+    normalize, _ = _domain_rules(ring_)
+    steps = _TailSteps(budget or _Budget(None))
+    G = [normalize(g) for g in G if not g.is_zero]
+    while True:
+        G.sort(key=_poly_sort_key(key))
+        kept = []
+        for g in G:
+            lt = leading_term(g)
+            if not any(_strongly_divides(leading_term(h), lt) for h in kept):
+                kept.append(g)
+        stable = True
+        for i in range(len(kept)):
+            others = kept[:i] + kept[i + 1:]
+            _, r = _reduce(kept[i], others, budget=steps)
+            r = normalize(r)
+            if r != kept[i]:
+                stable = False
+            kept[i] = r
+        G = [g for g in kept if not g.is_zero]
+        if stable:
+            G.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
+            return GroebnerBasis(ring_, tuple(G), reduced=True)

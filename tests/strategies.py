@@ -6,6 +6,7 @@ from modgrob import QQ, ZZ, Block, DegRevLex, Lex, Polynomial
 from modgrob.polyring import ring
 
 VARIABLE_POOLS = [("x",), ("y", "x"), ("z", "y", "x")]
+VARIABLES = dict(enumerate(VARIABLE_POOLS, start=1))
 
 
 def orders(max_front=1):

@@ -34,7 +34,6 @@ from modgrob.groebner import _domain_rules
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import poly_scale, ring
 
-VARIABLES = {1: ("x",), 2: ("y", "x"), 3: ("z", "y", "x")}
 DOMAINS = (ZZ, QQ, ModularDomain(2), ModularDomain(7))
 BUDGET = Limits(max_pairs=500)
 
@@ -62,7 +61,7 @@ def candidates(draw):
     if arity > 1:
         orders.append(Block((0,), DegRevLex(), Lex()))
     domain = draw(st.sampled_from(DOMAINS))
-    ring_ = ring(VARIABLES[arity], draw(st.sampled_from(orders)), domain)
+    ring_ = ring(sts.VARIABLES[arity], draw(st.sampled_from(orders)), domain)
     gens = draw(st.lists(sts.polynomials(ring_, max_terms=3, max_degree=3,
                                          allow_zero=False),
                          min_size=1, max_size=3))
@@ -91,7 +90,7 @@ def candidates(draw):
 
 
 def _polys(domain, order, *texts):
-    ring_ = ring(VARIABLES[3], order, domain)
+    ring_ = ring(sts.VARIABLES[3], order, domain)
     return [parse_polynomial(text, ring_) for text in texts]
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgrob import NotCoprime, crt_coefficients, ext_gcd, factorize, is_prime, lcm_many
+from modgrob import NotCoprime, crt_coefficients, ext_gcd, factorize, is_prime
 
 
 def test_ext_gcd_degenerate():
@@ -93,13 +93,6 @@ def test_factorize_reassembles(n):
 def test_factorize_large_semiprime():
     p, q = 10**9 + 7, 10**9 + 9
     assert factorize(p * q) == [(p, 1), (q, 1)]
-
-
-def test_lcm_many():
-    assert lcm_many([]) == 1
-    assert lcm_many([4, 6]) == 12
-    assert lcm_many([3]) == 3
-    assert lcm_many([-4, 6]) == 12
 
 
 def test_is_prime_spot_checks():

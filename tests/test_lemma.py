@@ -110,10 +110,11 @@ def test_solve_problem_p_accepts_immediately():
 
 def test_stream_exhaustion_reports_rejections():
     stream = GeneratorStream([P("2x")])
-    with pytest.raises(StreamExhausted) as err:
-        solve_problem_p(stream, IdealOracle([P("x")]))
-    assert len(err.value.certificates) == 1
-    assert err.value.certificates[-1].prefix_length == 1
+    history = []
+    with pytest.raises(StreamExhausted):
+        solve_problem_p(stream, IdealOracle([P("x")]), history=history)
+    assert len(history) == 1
+    assert history[-1].prefix_length == 1
 
 
 def test_prefix_monotonicity():

@@ -1,16 +1,12 @@
 """Differential test of the division kernel against the earlier one.
 
-``reference_reduce`` is the division loop as it stood before the kernel
-inlined its monomial arithmetic, memoised order keys and dropped the
-coefficient normalisation over ZZ and QQ.  It stays here, outside the
-package, as the specification: ``normal_form`` must return the same
-remainders, coefficient types included, over ZZ, QQ, F_p and ZZ/m, in Lex,
-DegRevLex and the Block order that the saturation in ``torsion``
-eliminates with.  Its quotient mode rebuilds, in ``test_torsion``, the
-multipliers that cofactor division over QQ gave.
+``reference.reference_reduce`` is the division loop as it stood before
+the kernel inlined its monomial arithmetic, memoised order keys and
+dropped the coefficient normalisation over ZZ and QQ.  It is the
+specification: ``normal_form`` must return the same remainders,
+coefficient types included, over ZZ, QQ, F_p and ZZ/m, in Lex, DegRevLex
+and the Block order that the saturation in ``torsion`` eliminates with.
 """
-
-import heapq
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,87 +21,11 @@ from modgrob import (
     ModularDomain,
     normal_form,
 )
-from modgrob.polyring import (
-    Polynomial,
-    leading_coefficient,
-    leading_monomial,
-    monomial_div,
-    monomial_divides,
-    monomial_key,
-    monomial_mul,
-    poly_add,
-    poly_mul,
-    ring,
-)
+from modgrob.polyring import poly_add, poly_mul, ring
+from reference import reference_reduce
 
 F7 = ModularDomain(7)
 Z12 = ModularDomain(12)
-VARIABLES = {1: ("x",), 2: ("y", "x"), 3: ("z", "y", "x")}
-
-
-def reference_reduce(f, reducers, want_quotients=False, budget=None):
-    """Shared division loop; deterministic: first eligible reducer wins.
-
-    Returns (quotients, remainder).  A term is moved to the remainder only
-    once no reducer changes it, which over ZZ / ZZ/m means its coefficient
-    is the canonical residue for every applicable lead coefficient.
-
-    The current largest monomial comes from a lazy max-heap (entries whose
-    monomial dropped out of the working dict are skipped on pop), so keys
-    are computed once per introduced monomial instead of once per sweep.
-    """
-    dom = f.ring.domain
-    key = monomial_key(f.ring.order)
-    leads = [(leading_monomial(g), leading_coefficient(g)) for g in reducers]
-    work = {mono: c for c, mono in f.terms}
-    heap = [(tuple(-v for v in key(mono)), mono) for mono in work]
-    heapq.heapify(heap)
-    rem = []
-    quotients = [{} for _ in reducers] if want_quotients else None
-    while heap:
-        negkey, mono = heapq.heappop(heap)
-        c = work.get(mono)
-        if c is None:
-            continue
-        progressed = False
-        for idx, (gm, gc) in enumerate(leads):
-            if not monomial_divides(gm, mono):
-                continue
-            q, _ = dom.coeff_divmod(c, gc)
-            if q == 0:
-                continue
-            if budget is not None:
-                budget.reduction()
-            shift = monomial_div(mono, gm)
-            for tc, tm in reducers[idx].terms:
-                target = monomial_mul(tm, shift)
-                old = work.get(target)
-                v = dom.normalize((old or 0) - q * tc)
-                if v == 0:
-                    if old is not None:
-                        del work[target]
-                elif old is None:
-                    work[target] = v
-                    heapq.heappush(heap, (tuple(-u for u in key(target)), target))
-                else:
-                    work[target] = v
-            if want_quotients:
-                quotients[idx][shift] = quotients[idx].get(shift, 0) + q
-            progressed = True
-            break
-        if not progressed:
-            rem.append((c, mono))
-            del work[mono]
-        elif mono in work:
-            # partially reduced lead coefficient: revisit the same monomial
-            heapq.heappush(heap, (negkey, mono))
-    remainder = Polynomial(f.ring, tuple(rem))
-    if want_quotients:
-        qpolys = [Polynomial.from_terms(f.ring, [(c, m) for m, c in qd.items()])
-                  for qd in quotients]
-        return qpolys, remainder
-    return None, remainder
-
 
 
 def _exact(f):
@@ -122,7 +42,7 @@ def division_problems(draw, domains):
     if arity > 1:
         # the saturation's order: Y first in Lex, then the ring's own order
         orders += [Block((0,), Lex(), Lex()), Block((0,), Lex(), DegRevLex())]
-    ring_ = ring(VARIABLES[arity], draw(st.sampled_from(orders)),
+    ring_ = ring(sts.VARIABLES[arity], draw(st.sampled_from(orders)),
                  draw(st.sampled_from(domains)))
     reducers = draw(st.lists(sts.polynomials(ring_, max_terms=3, max_degree=2,
                                              allow_zero=False),

@@ -9,6 +9,8 @@ bases are canonical, so the torsion report and every p^a basis must come
 out identical.
 """
 
+import math
+
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ from modgrob import (
     minimal_multiplier,
 )
 from modgrob.groebner import _extend_mod_m
-from modgrob.intarith import factorize, lcm_many
+from modgrob.intarith import factorize
 from modgrob.polyring import (
     drop_variable,
     fresh_variable_name,
@@ -44,7 +46,7 @@ def reference_contract(basis_z, limits=None):
     ring_ = basis_z.ring
     if not basis_z.elements:
         return []
-    s = lcm_many([leading_coefficient(g) for g in basis_z.elements])
+    s = math.lcm(*(leading_coefficient(g) for g in basis_z.elements))
     yname = fresh_variable_name(ring_.variables, "Y")
     ext_ring = RingDescriptor((yname,) + ring_.variables,
                               Block((0,), Lex(), ring_.order),
@@ -73,7 +75,7 @@ def test_seeded_certificate_stages_match_unseeded(gens, prime_power):
     except ResourceLimitExceeded:
         assume(False)
     multipliers = tuple((g, minimal_multiplier(g, basis)) for g in contracted)
-    expected = TorsionReport(exponent=lcm_many([m for _, m in multipliers]),
+    expected = TorsionReport(exponent=math.lcm(*(m for _, m in multipliers)),
                              saturation_basis=tuple(contracted),
                              multipliers=multipliers)
     report = torsion_report(basis, BUDGET)

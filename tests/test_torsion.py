@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -19,13 +21,12 @@ from modgrob import (
     minimal_multiplier,
     normal_form,
     parse_polynomial,
-    saturation_contraction,
     torsion_exponent,
 )
 from modgrob.groebner import buchberger_field
-from modgrob.intarith import factorize, lcm_many
+from modgrob.intarith import factorize
 from modgrob.polyring import poly_scale, ring, with_domain
-from test_reduce_reference import reference_reduce
+from reference import reference_reduce
 
 R1 = ring(("x",), Lex(), ZZ)
 R3 = ring(("z", "y", "x"), DegRevLex(), ZZ)
@@ -40,15 +41,15 @@ def P(text, ring_=R1):
 # saturation / contraction
 
 def test_zero_ideal_contracts_to_nothing():
-    assert saturation_contraction([Polynomial.zero(R1)]) == []
+    assert torsion_exponent([Polynomial.zero(R1)]).saturation_basis == ()
 
 
 def test_contraction_of_scaled_variable():
-    assert saturation_contraction([P("3x")]) == [P("x")]
+    assert torsion_exponent([P("3x")]).saturation_basis == (P("x"),)
 
 
 def test_chain_contraction_is_full_linear_ideal():
-    contracted = saturation_contraction(CHAIN)
+    contracted = torsion_exponent(CHAIN).saturation_basis
     assert [str(g) for g in contracted] == ["z", "y", "x"]
     # same QQ-ideal as the generators themselves
     ring_q = with_domain(R3, QQ)
@@ -64,7 +65,7 @@ def test_contraction_generates_same_rational_ideal(data):
     ring_, polys = data
     if all(p.is_zero for p in polys):
         return
-    contracted = saturation_contraction(polys)
+    contracted = torsion_exponent(polys).saturation_basis
     ring_q = with_domain(ring_, QQ)
     basis_q = buchberger_field([change_domain(g, QQ) for g in polys], ring=ring_q)
     for g in contracted:
@@ -88,7 +89,7 @@ def reference_multiplier(g, basis_z):
     quotients, remainder = reference_reduce(change_domain(g, QQ), view,
                                             want_quotients=True)
     assert remainder.is_zero
-    k = lcm_many([c.denominator for q in quotients for c, _ in q.terms])
+    k = math.lcm(*(c.denominator for q in quotients for c, _ in q.terms))
     for p, _ in factorize(k):
         while k % p == 0 and ideal_member(poly_scale(g, k // p), basis_z):
             k //= p
