@@ -38,7 +38,6 @@ from .groebner import (
 from .intarith import crt_coefficients, ext_gcd, factorize, is_prime
 from .lemma import (
     Certificate,
-    GeneratorStream,
     IdealOracle,
     main_lemma_check,
     solve_problem_p,
@@ -81,7 +80,7 @@ __all__ = [
     "buchberger_field", "buchberger_z", "g_pair_z", "gb_equal", "gb_mod_m",
     "ideal_member", "is_groebner_basis", "normal_form", "s_pair_z",
     "s_polynomial_field", "crt_coefficients", "ext_gcd", "factorize",
-    "is_prime", "Certificate", "GeneratorStream", "IdealOracle",
+    "is_prime", "Certificate", "IdealOracle",
     "main_lemma_check", "solve_problem_p", "ProblemFile", "parse_polynomial",
     "parse_problem", "QQ", "ZZ", "Block", "DegRevLex", "IntegerDomain", "Lex",
     "ModularDomain", "Polynomial", "RationalDomain", "RingDescriptor",

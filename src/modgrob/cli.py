@@ -14,7 +14,7 @@ from . import formatting
 from .arnold import VERIFIED, arnold_conditions
 from .errors import ModGrobError, ParseError, ResourceLimitExceeded, StreamExhausted
 from .groebner import Limits, buchberger_field, buchberger_z, gb_mod_m
-from .lemma import GeneratorStream, IdealOracle, main_lemma_check, solve_problem_p
+from .lemma import IdealOracle, main_lemma_check, solve_problem_p
 from .parser import parse_domain_text, parse_order_text, parse_problem
 from .polyring import (
     ZZ,
@@ -72,7 +72,7 @@ def _ideal(problem, name, ring_):
 
 
 def _limits(args):
-    return Limits.from_environment() if args.max_pairs is None else Limits(args.max_pairs)
+    return None if args.max_pairs is None else Limits(args.max_pairs)
 
 
 def _show(args, value, human, machine):
@@ -80,8 +80,7 @@ def _show(args, value, human, machine):
 
 
 def _cmd_gb(args):
-    domain = ModularDomain(args.mod) if args.mod is not None else args.coeff
-    problem, ring_ = _load(args, domain=domain)
+    problem, ring_ = _load(args, domain=args.coeff)
     limits = _limits(args)
     if isinstance(ring_.domain, ModularDomain):
         # mod-m bases run through the integer engine
@@ -104,20 +103,15 @@ def _cmd_torsion(args):
 
 def _oracle(args, problem, ring_, limits):
     """The oracle from --oracle (a section or a file), else the file's own."""
-    def from_file(path):
-        other = _read(path)
-        if other.ring.variables != ring_.variables or other.ring.domain != ring_.domain:
-            raise _UsageError("oracle file must declare the same variables and domain")
-        return _ideal(other, None, ring_)
-
     if args.oracle in problem.ideals:
         gens = _ideal(problem, args.oracle, ring_)
     elif args.oracle:
-        gens = from_file(args.oracle)
+        other = _read(args.oracle)
+        if other.ring.variables != ring_.variables or other.ring.domain != ring_.domain:
+            raise _UsageError("oracle file must declare the same variables and domain")
+        gens = _ideal(other, None, ring_)
     elif problem.oracle_polys is not None:
         gens = _retarget(problem.oracle_polys, ring_)
-    elif problem.oracle_path is not None:
-        gens = from_file(Path(args.file).parent / problem.oracle_path)
     else:
         raise _UsageError("no oracle: add an oracle section or pass --oracle")
     return IdealOracle(gens, limits)
@@ -138,9 +132,9 @@ def _cmd_solve_p(args):
     limits = _limits(args)
     oracle = _oracle(args, problem, ring_, limits)
     if args.stream:
-        stream = GeneratorStream(_ideal(problem, args.stream, ring_))
+        stream = _ideal(problem, args.stream, ring_)
     elif problem.stream is not None:
-        stream = GeneratorStream(_retarget(problem.stream, ring_))
+        stream = _retarget(problem.stream, ring_)
     else:
         raise _UsageError("no stream: add a stream section or pass --stream")
     certs = []  # the rejections, then the accepted certificate
@@ -190,19 +184,18 @@ _FLAGS = {
                     help="override the term order: lp or dp"),
     "--coeff": dict(type=_parsed_by(parse_domain_text),
                     help="override the coefficient domain: ZZ, QQ or ZZ/m"),
-    "--mod": dict(type=int, help="shorthand for --coeff ZZ/m; the prime for arnold-verify"),
+    "--mod": dict(type=int, help="the prime p"),
     "--stream": dict(help="ideal section to use as the generator stream"),
     "--oracle": dict(help="ideal section name or problem file for the oracle"),
     "--max-pairs": dict(type=int, dest="max_pairs",
-                        help="completion pair budget (also MODGROB_MAX_PAIRS)"),
+                        help="pair budget of each completion (default 50000)"),
     "--json": dict(action="store_true", help="line-oriented machine-readable output"),
 }
 
-# name, handler, help and the flags the command reads; flags written in
-# one string exclude each other
+# name, handler, help and the flags the command reads
 _COMMANDS = [
     ("gb", _cmd_gb, "compute the reduced (strong) Groebner basis",
-     ("--ideal", "--order", "--coeff --mod")),
+     ("--ideal", "--order", "--coeff")),
     ("torsion", _cmd_torsion, "torsion exponent of ZZ[X]/J with multipliers",
      ("--ideal", "--order")),
     ("check-lemma", _cmd_check_lemma, "certify a prefix ideal against the oracle",
@@ -222,10 +215,8 @@ def build_arg_parser():
     for name, handler, doc, flags in _COMMANDS:
         sub = subs.add_parser(name, help=doc)
         sub.add_argument("file", help="problem file")
-        for group in flags + ("--max-pairs", "--json"):
-            exclusive = sub.add_mutually_exclusive_group()
-            for flag in group.split():
-                exclusive.add_argument(flag, **_FLAGS[flag])
+        for flag in flags + ("--max-pairs", "--json"):
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=handler)
     return parser
 

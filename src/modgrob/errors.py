@@ -26,7 +26,8 @@ class NonMember(ModGrobError):
 
 
 class StreamExhausted(ModGrobError):
-    """The generator stream ran dry before any prefix was accepted.
+    """The generators given to ``solve_problem_p`` ran out before any
+    prefix was accepted.
 
     ``solve_problem_p`` appends each rejection certificate to its
     ``history`` list, for callers that want to see why each prefix failed.
@@ -38,7 +39,7 @@ class OracleFailure(ModGrobError):
 
 
 class InvalidLimit(ModGrobError):
-    """A budget, from a flag or from the environment, is not an integer >= 0."""
+    """A ``Limits`` budget (``--max-pairs`` on the command line) is negative."""
 
 
 class ResourceLimitExceeded(ModGrobError):

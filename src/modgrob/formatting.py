@@ -74,10 +74,7 @@ def format_certificate(cert):
         lines.append(f"    candidate basis: {_basis_inline(witness.candidate_basis)}")
     if cert.basis is not None:
         lines.append("  basis:")
-        for g in reversed(cert.basis.elements):
-            lines.append(f"    {poly_to_string(g)}")
-        if not cert.basis.elements:
-            lines.append("    0")
+        lines.extend("    " + line for line in format_basis(cert.basis).splitlines())
     return "\n".join(lines)
 
 

@@ -15,7 +15,6 @@ import bisect
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from operator import add, le, neg, sub
 
@@ -70,18 +69,8 @@ class Limits:
     def __post_init__(self):
         if self.max_pairs < 0:
             raise InvalidLimit(f"pair budget must be >= 0, got {self.max_pairs}")
-
-    @staticmethod
-    def from_environment():
-        cap = os.environ.get("MODGROB_MAX_PAIRS")
-        if cap is None:
-            return Limits()
-        try:
-            max_pairs = int(cap)
-        except ValueError:
-            raise InvalidLimit(
-                f"MODGROB_MAX_PAIRS must be an integer >= 0, got {cap!r}") from None
-        return Limits(max_pairs=max_pairs)
+        if self.max_reductions < 0:
+            raise InvalidLimit(f"reduction budget must be >= 0, got {self.max_reductions}")
 
 
 DEFAULT_LIMITS = Limits()
@@ -100,7 +89,7 @@ class _Budget:
         if self.pairs > self.limits.max_pairs:
             raise ResourceLimitExceeded(
                 f"pair budget exhausted ({self.limits.max_pairs}); "
-                "raise --max-pairs / MODGROB_MAX_PAIRS if this is intended")
+                "raise --max-pairs if this is intended")
 
     def reduction(self):
         self.reductions += 1

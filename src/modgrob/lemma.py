@@ -23,28 +23,6 @@ from .polyring import QQ, IntegerDomain, ModularDomain, change_domain, with_doma
 from .torsion import torsion_report
 
 
-class GeneratorStream:
-    """Replayable, finite-in-practice source of generators over ZZ."""
-
-    def __init__(self, polys):
-        self._items = tuple(polys)
-        self._pos = 0
-
-    @property
-    def exhausted(self):
-        return self._pos >= len(self._items)
-
-    def next(self):
-        if self.exhausted:
-            raise StreamExhausted("generator stream is exhausted")
-        item = self._items[self._pos]
-        self._pos += 1
-        return item
-
-    def __len__(self):
-        return len(self._items)
-
-
 class IdealOracle:
     """Oracle built from a complete generating set, answering on demand."""
 
@@ -167,16 +145,18 @@ def main_lemma_check(oracle, j_gens, limits=None):
                        basis=basis if accepted else None)
 
 
-def solve_problem_p(stream, oracle, limits=None, history=None):
-    """Walk prefixes of the stream until one is certified equal to I.
+def solve_problem_p(generators, oracle, limits=None, history=None):
+    """Walk prefixes of the generators until one is certified equal to I.
 
-    Returns (strong ZZ basis of I, accepting certificate).  If ``history``
-    is a list, every rejection certificate is appended to it.  Raises
-    StreamExhausted when the finite stream ends without acceptance.
+    ``generators`` is any iterable, read lazily: nothing after the accepted
+    prefix is pulled.  Returns (strong ZZ basis of I, accepting
+    certificate).  If ``history`` is a list, every rejection certificate is
+    appended to it.  Raises StreamExhausted when the iterable ends without
+    acceptance.
     """
     j_gens = []
-    while not stream.exhausted:
-        j_gens.append(stream.next())
+    for g in generators:
+        j_gens.append(g)
         certificate = main_lemma_check(oracle, j_gens, limits)
         if certificate.accepted:
             return certificate.basis, certificate

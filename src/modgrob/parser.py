@@ -6,7 +6,7 @@ The input language mirrors compact computer-algebra scripts::
     ring r = ZZ, (z, y, x), dp;
     ideal I = 3z-y, 3y-x, 3x;
     stream = 2x, 3x;
-    oracle = 2x, 3x;            // or: oracle = "path/to/other.mg";
+    oracle = 2x, 3x;
 
 Coefficient domains are ZZ, QQ or ZZ/m; orders are lp (lex), dp
 (degrevlex) or block((front vars): ord, (back vars): ord) where the two
@@ -35,7 +35,7 @@ from .polyring import (
 
 @dataclass(frozen=True)
 class Token:
-    kind: str   # IDENT, INT, STRING, PUNCT, END
+    kind: str   # IDENT, INT, PUNCT, END
     text: str
     line: int
     column: int
@@ -47,7 +47,6 @@ class ProblemFile:
     ideals: dict            # name -> tuple of Polynomial, insertion ordered
     stream: tuple | None
     oracle_polys: tuple | None
-    oracle_path: str | None
 
     def ideal(self, name=None):
         """Pick an ideal section: by name, else 'I' if present, else the first."""
@@ -114,18 +113,6 @@ def _tokenize(text):
             tokens.append(Token("IDENT", text[i:j], line, start_col))
             col += j - i
             i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, start_col)
-            tokens.append(Token("STRING", text[i + 1:j], line, start_col))
-            col += j - i + 1
-            i = j + 1
             continue
         if ch in _PUNCT:
             tokens.append(Token("PUNCT", ch, line, start_col))
@@ -413,17 +400,16 @@ def parse_problem(text):
     ideals = {}
     stream = None
     oracle_polys = None
-    oracle_path = None
     while cursor.peek().kind != "END":
         tok = cursor.expect("IDENT")
+        if reader is None and tok.text in ("ideal", "stream", "oracle"):
+            raise ParseError(f"{tok.text} section before the ring declaration",
+                             tok.line, tok.column)
         if tok.text == "ring":
             if reader is not None:
                 raise ParseError("duplicate ring declaration", tok.line, tok.column)
             reader = _PolyParser(cursor, _parse_ring(cursor))
         elif tok.text == "ideal":
-            if reader is None:
-                raise ParseError("ideal section before the ring declaration",
-                                 tok.line, tok.column)
             name_tok = cursor.expect("IDENT")
             if name_tok.text in ideals:
                 raise ParseError(f"duplicate ideal section {name_tok.text!r}",
@@ -431,24 +417,15 @@ def parse_problem(text):
             cursor.expect("PUNCT", "=")
             ideals[name_tok.text] = _parse_poly_list(reader)
         elif tok.text == "stream":
-            if reader is None:
-                raise ParseError("stream section before the ring declaration",
-                                 tok.line, tok.column)
             if stream is not None:
                 raise ParseError("duplicate stream section", tok.line, tok.column)
             cursor.expect("PUNCT", "=")
             stream = _parse_poly_list(reader)
         elif tok.text == "oracle":
-            if reader is None:
-                raise ParseError("oracle section before the ring declaration",
-                                 tok.line, tok.column)
-            if oracle_polys is not None or oracle_path is not None:
+            if oracle_polys is not None:
                 raise ParseError("duplicate oracle section", tok.line, tok.column)
             cursor.expect("PUNCT", "=")
-            if cursor.peek().kind == "STRING":
-                oracle_path = cursor.advance().text
-            else:
-                oracle_polys = _parse_poly_list(reader)
+            oracle_polys = _parse_poly_list(reader)
         else:
             raise ParseError(f"unknown section keyword {tok.text!r}",
                              tok.line, tok.column)
@@ -456,7 +433,7 @@ def parse_problem(text):
     if reader is None:
         raise ParseError("the file declares no ring", 1, 1)
     return ProblemFile(ring=reader.ring, ideals=ideals, stream=stream,
-                       oracle_polys=oracle_polys, oracle_path=oracle_path)
+                       oracle_polys=oracle_polys)
 
 
 def _parse_text(text, parse, what):

@@ -19,7 +19,11 @@ are renamed by what they specify:
 - ``fixed_point_canonicalize``: ``_canonicalize`` when it repeated
   minimization and tail reduction until a pass changed nothing
   (``test_canonicalize``);
-- ``_ReducerView``: the sorted reducer list of those completion loops.
+- ``_ReducerView``: the sorted reducer list of those completion loops;
+- ``reference_is_groebner_basis``: ``is_groebner_basis`` before it
+  skipped pairs, reducing every S-pair and G-pair (``test_groebner_check``);
+- ``reference_contract``: ``torsion._contract`` when it saturated at s
+  with an unseeded completion (``test_seeded_completion``).
 """
 
 import bisect
@@ -27,7 +31,16 @@ import heapq
 import math
 from operator import add, le, neg, sub
 
-from modgrob import ModularDomain, Polynomial, ResourceLimitExceeded
+from modgrob import (
+    Block,
+    Lex,
+    ModularDomain,
+    Polynomial,
+    ResourceLimitExceeded,
+    RingDescriptor,
+    buchberger_z,
+    normal_form,
+)
 from modgrob.groebner import (
     G_PAIR,
     S_PAIR,
@@ -41,6 +54,9 @@ from modgrob.groebner import (
     _TailSteps,
 )
 from modgrob.polyring import (
+    drop_variable,
+    fresh_variable_name,
+    inject_variable,
     leading_coefficient,
     leading_monomial,
     leading_term,
@@ -441,3 +457,41 @@ def fixed_point_canonicalize(G, ring_, key, budget=None):
         if stable:
             G.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
             return GroebnerBasis(ring_, tuple(G), reduced=True)
+
+
+def reference_is_groebner_basis(polys):
+    """Check completeness directly: every S-pair (and G-pair over ZZ) drops to 0."""
+    polys = [p for p in polys if not p.is_zero]
+    if not polys:
+        return True
+    _, pair_functions = _domain_rules(polys[0].ring)
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            for pair_polynomial in pair_functions.values():
+                if not normal_form(pair_polynomial(polys[i], polys[j]), polys).is_zero:
+                    return False
+    return True
+
+
+def reference_contract(basis_z, limits=None):
+    """Y-free part of the strong basis of <J, s*Y - 1> under Block(Y; order)."""
+    ring_ = basis_z.ring
+    if not basis_z.elements:
+        return []
+    s = math.lcm(*(leading_coefficient(g) for g in basis_z.elements))
+    yname = fresh_variable_name(ring_.variables, "Y")
+    ext_ring = RingDescriptor((yname,) + ring_.variables,
+                              Block((0,), Lex(), ring_.order),
+                              ring_.domain)
+    y_mono = (1,) + ring_.one_monomial()
+    inverter = Polynomial.from_terms(ext_ring, [(s, y_mono), (-1, (0,) + ring_.one_monomial())])
+    ext_gens = [inject_variable(g, ext_ring, 0) for g in basis_z.elements]
+    ext_gens.append(inverter)
+    eliminated = buchberger_z(ext_gens, limits)
+    picked = []
+    for h in eliminated.elements:
+        if leading_monomial(h)[0] == 0:
+            # Elimination property of the block order: a Y-free lead
+            # monomial forces the whole polynomial to be Y-free.
+            picked.append(drop_variable(h, 0, ring_))
+    return picked

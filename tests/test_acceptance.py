@@ -14,7 +14,6 @@ from modgrob import (
     QQ,
     ZZ,
     DegRevLex,
-    GeneratorStream,
     IdealOracle,
     Lex,
     ModularDomain,
@@ -301,7 +300,7 @@ def _solve_p_run():
     gens = [parse_polynomial("2x", ring1), parse_polynomial("3x", ring1)]
     history = []
     basis, certificate = solve_problem_p(
-        GeneratorStream(gens), IdealOracle(gens), history=history)
+        gens, IdealOracle(gens), history=history)
     return basis, certificate, tuple(history)
 
 

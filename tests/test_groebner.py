@@ -9,6 +9,7 @@ from modgrob import (
     DegRevLex,
     DomainError,
     GroebnerBasis,
+    InvalidLimit,
     Lex,
     Limits,
     ModularDomain,
@@ -288,6 +289,12 @@ def test_resource_limit_triggers():
             for s in ("3z2-y2+zx", "7yx2-z-1", "5x3+2zy-4")]
     with pytest.raises(ResourceLimitExceeded):
         buchberger_z(gens, Limits(max_pairs=2))
+
+
+def test_negative_reduction_budget_is_refused():
+    with pytest.raises(InvalidLimit, match="^reduction budget must be >= 0, got -1$"):
+        Limits(max_reductions=-1)
+    assert Limits(max_reductions=0).max_reductions == 0
 
 
 def test_domain_checks():

@@ -2,8 +2,8 @@
 
 ``reference_is_groebner_basis`` is ``is_groebner_basis`` as it stood
 before it skipped pairs: it builds and reduces every S-pair (and G-pair
-over ZZ).  It stays here, outside the package, as the specification.  The
-package's check visits fewer pairs, so both must give the same answer on
+over ZZ).  It lives in ``reference.py``, outside the package, as the
+specification.  The package's check visits fewer pairs, so both must give the same answer on
 sets that are and are not Groebner bases, over ZZ, QQ, F_2 and F_7, in
 Lex, DegRevLex and Block orders.
 """
@@ -28,28 +28,13 @@ from modgrob import (
     buchberger_z,
     groebner,
     is_groebner_basis,
-    normal_form,
 )
-from modgrob.groebner import _domain_rules
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import poly_scale, ring
+from reference import reference_is_groebner_basis
 
 DOMAINS = (ZZ, QQ, ModularDomain(2), ModularDomain(7))
 BUDGET = Limits(max_pairs=500)
-
-
-def reference_is_groebner_basis(polys):
-    """Check completeness directly: every S-pair (and G-pair over ZZ) drops to 0."""
-    polys = [p for p in polys if not p.is_zero]
-    if not polys:
-        return True
-    _, pair_functions = _domain_rules(polys[0].ring)
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            for pair_polynomial in pair_functions.values():
-                if not normal_form(pair_polynomial(polys[i], polys[j]), polys).is_zero:
-                    return False
-    return True
 
 
 @st.composite

@@ -100,3 +100,10 @@ def test_is_prime_spot_checks():
     composites = [1, 0, 4, 561, 341, 1000003 * 1000033]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_strong_pseudoprime_to_the_first_twelve_primes():
+    """psi_12 passes Miller-Rabin for every base from 2 to 37; base 41 exposes it."""
+    psi_12 = 318665857834031151167461
+    assert not is_prime(psi_12)
+    assert factorize(psi_12) == [(399165290221, 1), (798330580441, 1)]

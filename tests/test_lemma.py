@@ -4,7 +4,6 @@ import pytest
 
 from modgrob import (
     Certificate,
-    GeneratorStream,
     IdealOracle,
     OracleFailure,
     StreamExhausted,
@@ -26,17 +25,6 @@ R2 = ring(("y", "x"), Lex(), ZZ)
 
 def P(text, ring_=R1):
     return parse_polynomial(text, ring_)
-
-
-def test_stream_replays_deterministically():
-    items = [P("2x"), P("3x")]
-    stream = GeneratorStream(items)
-    first = [stream.next(), stream.next()]
-    assert stream.exhausted
-    stream = GeneratorStream(items)  # a replay is a fresh stream
-    assert [stream.next(), stream.next()] == first
-    with pytest.raises(StreamExhausted):
-        stream.next()
 
 
 def test_full_generating_set_is_accepted():
@@ -86,10 +74,9 @@ def test_rational_mismatch_rejects_without_torsion_work():
 
 
 def test_solve_problem_p_two_step():
-    stream = GeneratorStream([P("2x"), P("3x")])
     oracle = IdealOracle([P("2x"), P("3x")])
     history = []
-    basis, cert = solve_problem_p(stream, oracle, history=history)
+    basis, cert = solve_problem_p([P("2x"), P("3x")], oracle, history=history)
     assert cert.accepted and cert.prefix_length == 2
     assert [str(g) for g in basis] == ["x"]
     assert len(history) == 1
@@ -102,19 +89,34 @@ def test_solve_problem_p_two_step():
 
 
 def test_solve_problem_p_accepts_immediately():
-    stream = GeneratorStream([P("x")])
-    basis, cert = solve_problem_p(stream, IdealOracle([P("x")]))
+    basis, cert = solve_problem_p([P("x")], IdealOracle([P("x")]))
     assert cert.prefix_length == 1
     assert [str(g) for g in basis] == ["x"]
 
 
 def test_stream_exhaustion_reports_rejections():
-    stream = GeneratorStream([P("2x")])
     history = []
     with pytest.raises(StreamExhausted):
-        solve_problem_p(stream, IdealOracle([P("x")]), history=history)
+        solve_problem_p([P("2x")], IdealOracle([P("x")]), history=history)
     assert len(history) == 1
     assert history[-1].prefix_length == 1
+
+
+def test_generators_are_pulled_lazily():
+    """Nothing after the accepted prefix is read, and the answer is the
+    one a list gives."""
+    def generators():
+        yield P("2x")
+        yield P("3x")
+        raise AssertionError("pulled past the accepted prefix")
+
+    oracle = IdealOracle([P("2x"), P("3x")])
+    history = []
+    basis, cert = solve_problem_p(generators(), oracle, history=history)
+    list_history = []
+    assert (basis, cert) == solve_problem_p([P("2x"), P("3x"), P("5x")], oracle,
+                                            history=list_history)
+    assert history == list_history
 
 
 def test_prefix_monotonicity():
@@ -134,7 +136,7 @@ def test_two_variable_stream_accepted_at_full_prefix():
     gens = [P("3y2-yx", R2), P("3yx-x3", R2), P("3x3", R2)]
     oracle = IdealOracle(gens)
     history = []
-    basis, cert = solve_problem_p(GeneratorStream(gens), oracle, history=history)
+    basis, cert = solve_problem_p(gens, oracle, history=history)
     assert cert.prefix_length == 3
     assert [c.prefix_length for c in history] == [1, 2]
     assert gb_equal(basis, buchberger_z(gens))
@@ -143,7 +145,7 @@ def test_two_variable_stream_accepted_at_full_prefix():
 def test_acceptance_implies_containment_of_oracle_generators():
     gens = [P("3y2-yx", R2), P("3yx-x3", R2), P("3x3", R2)]
     oracle = IdealOracle(gens)
-    basis, cert = solve_problem_p(GeneratorStream(gens), oracle)
+    basis, cert = solve_problem_p(gens, oracle)
     assert cert.accepted
     for g in gens:
         assert normal_form(g, basis).is_zero

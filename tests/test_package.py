@@ -1,7 +1,10 @@
+import argparse
+import re
 import types
 from pathlib import Path
 
 import modgrob
+from modgrob.cli import build_arg_parser
 
 
 def test_all_exports_no_submodules():
@@ -17,3 +20,19 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(section[start:section.index("```", start)], namespace)
     assert namespace["report"].exponent == 27
+
+
+def test_readme_synopsis_lists_the_flags_each_command_declares():
+    """Each line of README's command-line synopsis names exactly the flags
+    its subcommand declares, besides the common --max-pairs and --json."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Command line"):]
+    start = section.index("```\n") + len("```\n")
+    synopsis = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                for line in section[start:section.index("```", start)].splitlines()}
+    (subcommands,) = [action.choices for action in build_arg_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    common = {"-h", "--help", "--max-pairs", "--json"}
+    declared = {name: {flag for action in sub._actions for flag in action.option_strings}
+                - common for name, sub in subcommands.items()}
+    assert synopsis == declared

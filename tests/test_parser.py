@@ -82,13 +82,21 @@ def test_stream_and_oracle_sections():
     """)
     assert [str(g) for g in pf.stream] == ["2x", "3x"]
     assert [str(g) for g in pf.oracle_polys] == ["2x", "3x"]
-    assert pf.oracle_path is None
 
 
 def test_oracle_path_form():
-    pf = parse_problem('ring r = ZZ, (x), lp; oracle = "full_set.mg";')
-    assert pf.oracle_path == "full_set.mg"
-    assert pf.oracle_polys is None
+    """An oracle file is named on the command line (--oracle FILE) only."""
+    with pytest.raises(ParseError) as err:
+        parse_problem('ring r = ZZ, (x), lp; oracle = "full_set.mg";')
+    assert str(err.value) == "line 1, column 32: unexpected character '\"'"
+
+
+@pytest.mark.parametrize("section", ["ideal I = x", "stream = x", "oracle = x"])
+def test_section_before_ring_is_parse_error(section):
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"{section}; ring r = ZZ, (x), lp;")
+    keyword = section.split()[0]
+    assert str(err.value) == f"line 1, column 1: {keyword} section before the ring declaration"
 
 
 def test_ideal_lookup_rules():

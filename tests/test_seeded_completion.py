@@ -4,7 +4,7 @@
 treating the basis's own pairs again: the saturation, at rad(s), seeded
 with the basis, and each p^a basis, seeded with it.  ``reference_contract``
 is ``torsion._contract`` as it stood before, saturating at s with an
-unseeded completion; it stays here as the specification.  Reduced strong
+unseeded completion; it lives in ``reference.py`` as the specification.  Reduced strong
 bases are canonical, so the torsion report and every p^a basis must come
 out identical.
 """
@@ -15,54 +15,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modgrob import (
-    Block,
-    Lex,
     Limits,
-    Polynomial,
     ResourceLimitExceeded,
-    RingDescriptor,
     buchberger_z,
     gb_mod_m,
     minimal_multiplier,
 )
 from modgrob.groebner import _extend_mod_m
 from modgrob.intarith import factorize
-from modgrob.polyring import (
-    drop_variable,
-    fresh_variable_name,
-    inject_variable,
-    leading_coefficient,
-    leading_monomial,
-)
 from modgrob.torsion import TorsionReport, torsion_report
+from reference import reference_contract
 from test_pair_criteria import zz_ideals
 from test_torsion import CHAIN
 
 BUDGET = Limits(max_pairs=1500)
-
-
-def reference_contract(basis_z, limits=None):
-    """Y-free part of the strong basis of <J, s*Y - 1> under Block(Y; order)."""
-    ring_ = basis_z.ring
-    if not basis_z.elements:
-        return []
-    s = math.lcm(*(leading_coefficient(g) for g in basis_z.elements))
-    yname = fresh_variable_name(ring_.variables, "Y")
-    ext_ring = RingDescriptor((yname,) + ring_.variables,
-                              Block((0,), Lex(), ring_.order),
-                              ring_.domain)
-    y_mono = (1,) + ring_.one_monomial()
-    inverter = Polynomial.from_terms(ext_ring, [(s, y_mono), (-1, (0,) + ring_.one_monomial())])
-    ext_gens = [inject_variable(g, ext_ring, 0) for g in basis_z.elements]
-    ext_gens.append(inverter)
-    eliminated = buchberger_z(ext_gens, limits)
-    picked = []
-    for h in eliminated.elements:
-        if leading_monomial(h)[0] == 0:
-            # Elimination property of the block order: a Y-free lead
-            # monomial forces the whole polynomial to be Y-free.
-            picked.append(drop_variable(h, 0, ring_))
-    return picked
 
 
 @given(zz_ideals(), st.sampled_from([2, 4, 8, 3, 9, 27, 25]))
