@@ -390,7 +390,10 @@ class _Pairs:
       every S-pair has a representation below its T: it reduced to zero,
       the product criterion gives one, or the chain criterion builds one
       from two pairs treated earlier.  Without the pending rule, pairs on
-      one lcm could skip each other in a cycle;
+      one lcm could skip each other in a cycle.  The completeness check
+      and completion over ZZ and ZZ/p set ``chain``.  Only the
+      fraction-free completion over QQ does not yet: the benchmark's
+      self-test pins its pair counts;
     - the G-pair criterion (ZZ only): some lt_k strongly divides gcd(c_i,
       c_j) lcm(m_i, m_j).  Elements never leave the basis, so one still
       does at the end.  Given the S-pairs, were the basis then not strong,
@@ -490,8 +493,9 @@ def _complete(gens, ring_, limits, seeded=0):
     normalize, pair_functions = _domain_rules(ring_, pseudo)
     key = monomial_key(ring_.order)
     sort_key = _poly_sort_key(key)
-    # No chain criterion over a field keeps the pinned field pair counts.
-    pairs = _Pairs(ring_, limits, chain=not ring_.domain.is_field, seeded=seeded)
+    # The chain criterion runs in every completion but the fraction-free
+    # one over QQ, whose pair counts perfbench/selftest.py still pins.
+    pairs = _Pairs(ring_, limits, chain=not pseudo, seeded=seeded)
     reducers = []  # the elements ascending, so that smaller reducers apply first
 
     def add_reduced(f):

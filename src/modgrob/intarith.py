@@ -10,8 +10,10 @@ import math
 from .errors import NotCoprime
 
 # The first 13 primes: a deterministic Miller-Rabin witness set for every
-# n below psi_13 = 3317044064679887385961981 (about 3.3 * 10**24).
+# n below psi_13 = 3317044064679887385961981 (about 3.3 * 10**24), the
+# least composite that passes them all.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _TRIAL_LIMIT = 10**6
 
@@ -67,8 +69,56 @@ def crt_coefficients(moduli):
     return coeffs
 
 
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Strong Lucas probable-prime test of odd n > 1 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D) / 4.  A square has no such D and is composite, as is n
+    sharing a factor with some |D| < n."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) < n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2  # half is the inverse of 2 mod n
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 = P and Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):  # V_d, V_2d, ..., V_(2^(s-1) d)
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
 def is_prime(n):
-    """Miller-Rabin primality test: deterministic below 3.3e24, probabilistic above."""
+    """Primality: Miller-Rabin to the first 13 prime bases, which is exact
+    below psi_13; at or above it also a strong Lucas test, which with base 2
+    makes the Baillie-PSW test.  No composite is known to pass that."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -91,7 +141,7 @@ def is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
 
 
 def _pollard_rho(n):

@@ -494,3 +494,72 @@ def test_any_argv_ends_in_an_exit_code(command, name, flags, json):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
+
+
+# Most draws are well formed, so that the commands run past the parser.
+_FILE_DOMAINS = ["ZZ"] * 8 + ["QQ", "ZZ/2", "ZZ/5", "ZZ/6", "ZZ/9", "ZZ/1", "RR"]
+_FILE_COEFFS = ["", "", "1", "2", "-3", "6", "9", "12", "-1", "0"]
+_FILE_SECTIONS = ["ideal I", "ideal J", "ideal G", "stream", "oracle", "ideal I"]
+
+
+@st.composite
+def _term(draw, variables, domain):
+    """A term of total degree at most 3, written in one of the accepted spellings."""
+    coeff = draw(st.sampled_from(_FILE_COEFFS + ["1/2", "-5/3"] * (domain == "QQ")))
+    degree = 0
+    factors = []
+    for name in draw(st.lists(st.sampled_from(variables), max_size=3)):
+        if degree == 3:
+            break
+        e = draw(st.integers(min_value=1, max_value=3 - degree))
+        degree += e
+        factors.append(draw(st.sampled_from([f"{name}^{e}", f"{name}{e}"])) if e > 1
+                       else name)
+    body = "*".join(factors)
+    if not coeff:
+        return body or "1"
+    return f"{coeff}*{body}" if body else coeff
+
+
+@st.composite
+def _problem_files(draw):
+    """Problem-file text in at most 3 variables and degree 3, perhaps malformed."""
+    variables = draw(st.lists(st.sampled_from(["z", "y", "x"]), min_size=1, max_size=3,
+                              unique=True))
+    orders = ["lp", "dp"] * 3 + ["xx"]
+    if len(variables) > 1:
+        k = draw(st.integers(min_value=1, max_value=len(variables) - 1))
+        orders.append(f"block(({', '.join(variables[:k])}): lp, "
+                      f"({', '.join(variables[k:])}): dp)")
+    domain = draw(st.sampled_from(_FILE_DOMAINS))
+    polys = st.lists(_term(variables, domain), min_size=1, max_size=3).map(
+        lambda ts: "+".join(ts).replace("+-", "-"))
+    lines = [f"ring r = {domain}, "
+             f"({', '.join(variables)}), {draw(st.sampled_from(orders))};"]
+    for head in draw(st.lists(st.sampled_from(_FILE_SECTIONS), max_size=4, unique=True)):
+        lines.append(f"{head} = {', '.join(draw(st.lists(polys, min_size=1, max_size=3)))};")
+    text = "\n".join(lines) + "\n"
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        cut = draw(st.integers(min_value=0, max_value=len(text)))
+        junk = draw(st.sampled_from(["", ";", ",", "(", "^", "/", "x", "0", "#"]))
+        dropped = draw(st.integers(min_value=0, max_value=2))
+        text = text[:cut] + junk + text[cut + dropped:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_problem_files(), command=st.sampled_from(sorted(_READS)),
+       mod=st.sampled_from(["2", "3", "4", "32003"]))
+def test_any_problem_file_ends_in_an_exit_code(tmp_path_factory, text, command, mod):
+    """Well-formed or not, a small problem file ends every command in 0, 1
+    or 2 under a pair budget of 200, and never in another exception."""
+    path = tmp_path_factory.mktemp("fuzz") / "problem.mg"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path), "--max-pairs", "200"]
+    argv += ["--mod", mod] * (command == "arnold-verify")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgrob import NotCoprime, crt_coefficients, ext_gcd, factorize, is_prime
+from modgrob import (
+    ModularDomain,
+    NotCoprime,
+    crt_coefficients,
+    ext_gcd,
+    factorize,
+    intarith,
+    is_prime,
+)
 
 
 def test_ext_gcd_degenerate():
@@ -107,3 +115,29 @@ def test_strong_pseudoprime_to_the_first_twelve_primes():
     psi_12 = 318665857834031151167461
     assert not is_prime(psi_12)
     assert factorize(psi_12) == [(399165290221, 1), (798330580441, 1)]
+
+
+def test_strong_pseudoprime_to_the_first_thirteen_primes():
+    """psi_13 passes Miller-Rabin for every base from 2 to 41; the strong
+    Lucas test exposes it, so ZZ/psi_13 is no field."""
+    psi_13 = 3317044064679887385961981
+    assert not is_prime(psi_13)
+    assert factorize(psi_13) == [(1287836182261, 1), (2575672364521, 1)]
+    assert not ModularDomain(psi_13).is_field
+
+
+def test_primes_above_the_fixed_bases():
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+    assert not is_prime(2**101 - 1)
+    assert not is_prime((2**89 - 1) ** 2)
+    assert factorize(1000003 * (2**89 - 1)) == [(1000003, 1), (2**89 - 1, 1)]
+
+
+def test_strong_lucas_pseudoprimes_below_100000():
+    """The odd composites below 10**5 that pass the strong Lucas test with
+    Selfridge's parameters (OEIS A217255); every odd prime passes."""
+    passing = [n for n in range(3, 10**5, 2) if intarith._strong_lucas(n)]
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                    58519, 75077, 97439]
+    assert [n for n in passing if not is_prime(n)] == pseudoprimes
+    assert len(passing) == len(pseudoprimes) + sum(map(is_prime, range(3, 10**5, 2)))
