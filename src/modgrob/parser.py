@@ -13,10 +13,16 @@ Coefficient domains are ZZ, QQ or ZZ/m; orders are lp (lex), dp
 groups concatenate to the declared variable list.  Polynomials use integer
 literals, '^' exponents (Singular-style juxtaposed digits like 3y2 also
 work), optional '*', parentheses, and p/q rational constants in QQ rings.
+Digits are ASCII 0-9, and no exponent of any term, products included,
+passes 2^31.  Each polynomial is gathered in one monomial -> coefficient
+map and sorted once, so parse time grows with the input bytes.
 """
 
+import re
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import ParseError
 from .polyring import (
@@ -30,15 +36,19 @@ from .polyring import (
     RationalDomain,
     RingDescriptor,
     _MAX_EXPONENT,
+    _term_products,
+    monomial_key,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # IDENT, INT, PUNCT, END
     text: str
     line: int
     column: int
+
+
+_new_token = partial(tuple.__new__, Token)  # Token(*fields) without a Python frame
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,6 @@ class ProblemFile:
         return next(iter(self.ideals.values()))
 
 
-_PUNCT = set("=,;()^+-*/:")
 _MAX_NESTING = 100  # 3 parser frames per level, well inside the recursion limit
 # All the multiplications of one problem file (or of the one polynomial
 # given to parse_polynomial), in powers and in written-out products, may
@@ -72,55 +81,26 @@ _MAX_POWER_TERMS = 30_000
 _MAX_POWER_BITS = 20_000
 
 
-def _coeff_bits(f):
-    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                for c, _ in f.terms), default=0)
+# One token of a line, after blanks; a comment is unnamed.  A word is an
+# IDENT when it starts with a letter or '_': a digit other than 0-9 starts
+# no token.
+_TOKEN = re.compile(r"[ \t\r]*(?://.*|(?P<INT>[0-9]+)|(?P<IDENT>\w+)"
+                    r"|(?P<PUNCT>[=,;()^+*/:-])|(?P<BAD>[^ \t\r]))")
 
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("END", "", line, col))
+    for number, line in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(line):
+            kind = m.lastgroup
+            if kind:
+                word, column = m[kind], m.start(kind) + 1
+                if kind == "BAD" or (kind == "IDENT" and not word[0].isalpha()
+                                     and word[0] != "_"):
+                    raise ParseError(f"unexpected character {word[0]!r}", number, column)
+                tokens.append(_new_token((kind, word, number, column)))
+    cut = line.find("//")  # a comment on the last line ends the input
+    tokens.append(Token("END", "", number, (len(line) if cut < 0 else cut) + 1))
     return tokens
 
 
@@ -132,24 +112,23 @@ class _Cursor:
     def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "END":
-            self.pos += 1
-        return tok
+    def advance(self):  # callers never advance past END
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def expect(self, kind, text=None):
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
+        tok = self.match(kind, text)
+        if tok is None:
+            tok = self.tokens[self.pos]
+            raise ParseError(f"expected {text or kind!r}, found {tok.text or 'end of input'!r}",
                              tok.line, tok.column)
-        return self.advance()
+        return tok
 
     def match(self, kind, text=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
+            self.pos += 1
+            return tok
         return None
 
 
@@ -165,61 +144,57 @@ def _int(tok):
                          tok.line, tok.column) from None
 
 
-def _split_variable_factors(token, variables):
-    """Split an IDENT like 'y2x' into [(var_index, exponent), ...].
-
-    Longest declared variable name wins at each position; a trailing digit
-    run is the exponent of the variable just matched.
-    """
-    by_length = sorted(variables, key=len, reverse=True)
-    text = token.text
-    pos = 0
-    factors = []
-    while pos < len(text):
-        for name in by_length:
-            if text.startswith(name, pos):
-                pos += len(name)
-                start = pos
-                while pos < len(text) and text[pos].isdigit():
-                    pos += 1
-                digits = Token("INT", text[start:pos], token.line, token.column + start)
-                factors.append((variables.index(name), _int(digits) if digits.text else 1))
-                break
-        else:
-            raise ParseError(f"unknown identifier {text[pos:]!r}",
-                             token.line, token.column + pos)
-    return factors
+def _coeff_bits(terms):
+    if not terms:
+        return 0
+    return max(max(abs(c.numerator), c.denominator) for c in terms.values()).bit_length()
 
 
 class _PolyParser:
     """Recursive-descent expression parser over the shared token cursor.
 
-    One instance reads every polynomial of a problem file, so that they
-    all draw on one expansion budget.
+    Each value is a term dict, monomial -> coefficient, its coefficients
+    normalized by the domain after every operation and none zero; each
+    list item becomes one Polynomial, sorted once.  One instance reads
+    every polynomial of a problem file, so that they all draw on one
+    expansion budget.
     """
 
     def __init__(self, cursor, ring):
         self.cur = cursor
         self.ring = ring
-        self.depth = 0
-        self.spent = 0  # term products formed so far
+        self.normalize = ring.domain.normalize
+        self.one, self.unit = ring.one_monomial(), self.normalize(1)
+        self.key = monomial_key(ring.order)
+        # the longest declared name wins at each position of an identifier
+        names = sorted(filter(None, ring.variables), key=len, reverse=True)
+        self.names = re.compile(f"({'|'.join(map(re.escape, names)) or '(?!)'})([0-9]*)")
+        self.index = {name: i for i, name in enumerate(ring.variables)}
+        self.depth = self.spent = 0  # parentheses open; term products formed so far
+
+    def polynomial(self):
+        """The next expression as a Polynomial: its terms sorted once."""
+        terms = self.expression()
+        order = sorted(terms, key=self.key, reverse=True)
+        return Polynomial(self.ring, tuple((terms[mono], mono) for mono in order))
 
     def expression(self):
+        """Terms joined by + and -, the first perhaps signed, added term by term."""
+        result = {}
         tok = self.cur.peek()
-        negate = False
-        if tok.kind == "PUNCT" and tok.text in "+-":
-            self.cur.advance()
-            negate = tok.text == "-"
-        result = self.term()
-        if negate:
-            result = -result
         while True:
-            tok = self.cur.peek()
+            sign = 1
             if tok.kind == "PUNCT" and tok.text in "+-":
                 self.cur.advance()
-                nxt = self.term()
-                result = result - nxt if tok.text == "-" else result + nxt
-            else:
+                sign = -1 if tok.text == "-" else 1
+            for mono, c in self.term().items():
+                c = self.normalize(result.get(mono, 0) + sign * c)
+                if c:
+                    result[mono] = c
+                else:
+                    del result[mono]
+            tok = self.cur.peek()
+            if tok.kind != "PUNCT" or tok.text not in "+-":
                 return result
 
     def term(self):
@@ -231,8 +206,7 @@ class _PolyParser:
                 result = self._divide(result, tok)
             elif tok.kind in ("INT", "IDENT") or (tok.kind == "PUNCT" and tok.text in "*("):
                 self.cur.match("PUNCT", "*")
-                factor = self.factor()
-                result = self._capped_mul(result, factor, tok)
+                result = self._capped_mul(result, self.factor(), tok)
             else:
                 return result
 
@@ -244,30 +218,35 @@ class _PolyParser:
         if not isinstance(self.ring.domain, RationalDomain):
             raise ParseError("rational constants only make sense over QQ",
                              slash_tok.line, slash_tok.column)
-        return numerator * Fraction(1, value)
+        return {mono: c / value for mono, c in numerator.items()}
 
     def factor(self):
         tok = self.cur.peek()
         if tok.kind == "INT":
             self.cur.advance()
-            base = Polynomial.constant(self.ring, _int(tok))
-            return self._power(base)
+            c = self.normalize(_int(tok))
+            return self._power({self.one: c} if c else {})
         if tok.kind == "IDENT":
             self.cur.advance()
-            factors = _split_variable_factors(tok, self.ring.variables)
+            mono = [0] * len(self.one)
+            pos = 0
+            while pos < len(tok.text):  # a name, then the digits of its exponent
+                m = self.names.match(tok.text, pos)
+                if m is None:
+                    raise ParseError(f"unknown identifier {tok.text[pos:]!r}",
+                                     tok.line, tok.column + pos)
+                idx = self.index[m[1]]
+                exp = _int(Token("INT", m[2], tok.line, tok.column + m.start(2))) if m[2] else 1
+                mono[idx] += exp
+                pos = m.end()
             # an explicit ^ binds to the last variable of the group, so
             # that yx^2 reads as y*(x^2)
             if self.cur.match("PUNCT", "^"):
-                exp_tok = self.cur.expect("INT")
-                idx, exp = factors[-1]
-                factors[-1] = (idx, exp * _int(exp_tok))
-            mono = [0] * self.ring.arity
-            for idx, exp in factors:
-                mono[idx] += exp
-            try:
-                return Polynomial.from_terms(self.ring, [(1, tuple(mono))])
-            except ValueError as exc:  # an exponent beyond the supported range
-                raise ParseError(str(exc), tok.line, tok.column) from None
+                mono[idx] += exp * (_int(self.cur.expect("INT")) - 1)
+            if max(mono, default=0) > _MAX_EXPONENT:
+                raise ParseError(f"exponent out of range in {tuple(mono)}",
+                                 tok.line, tok.column)
+            return {tuple(mono): self.unit}
         if tok.kind == "PUNCT" and tok.text == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}",
@@ -286,11 +265,11 @@ class _PolyParser:
             return base
         tok = self.cur.expect("INT")
         exp = _int(tok)
-        top = max((e for _, mono in base.terms for e in mono), default=0)
+        top = max(chain.from_iterable(base), default=0)
         if exp > _MAX_EXPONENT or exp * top > _MAX_EXPONENT:
             raise ParseError(f"exponent out of range: {tok.text}", tok.line, tok.column)
         message = f"power too large to expand: ^{tok.text}"
-        result = Polynomial.constant(self.ring, 1)
+        result = {self.one: self.unit}
         while exp:  # square and multiply
             if exp & 1:
                 result = self._capped_mul(result, base, tok, message)
@@ -301,18 +280,23 @@ class _PolyParser:
 
     def _capped_mul(self, a, b, tok, message="product too large to expand"):
         """a * b, charged to the term products spent so far, unless it
-        would pass the expansion caps."""
-        self.spent += len(a.terms) * len(b.terms)
+        would pass the expansion caps or the exponent bound."""
+        self.spent += len(a) * len(b)
         if (self.spent > _MAX_POWER_TERMS
                 or _coeff_bits(a) + _coeff_bits(b) > _MAX_POWER_BITS):
             raise ParseError(message, tok.line, tok.column)
-        return a * b
+        sums = _term_products(zip(a.values(), a), list(zip(b.values(), b)))
+        product = {mono: c for mono, c in zip(sums, map(self.normalize, sums.values())) if c}
+        top = max(chain.from_iterable(product), default=0)
+        if top > _MAX_EXPONENT:
+            raise ParseError(f"exponent out of range: {top}", tok.line, tok.column)
+        return product
 
 
 def _parse_poly_list(reader):
-    polys = [reader.expression()]
+    polys = [reader.polynomial()]
     while reader.cur.match("PUNCT", ","):
-        polys.append(reader.expression())
+        polys.append(reader.polynomial())
     return tuple(polys)
 
 
@@ -392,14 +376,12 @@ def _parse_ring(cursor):
 
 def parse_problem(text):
     """Parse a problem file into its ring, ideal sections, stream and oracle."""
-    tokens = _tokenize(text)
-    cursor = _Cursor(tokens)
+    cursor = _Cursor(_tokenize(text))
     if cursor.peek().kind == "END":
         raise ParseError("empty problem file", 1, 1)
     reader = None  # the one _PolyParser of the file, made at its ring
     ideals = {}
-    stream = None
-    oracle_polys = None
+    lists = {}  # the stream and oracle sections
     while cursor.peek().kind != "END":
         tok = cursor.expect("IDENT")
         if reader is None and tok.text in ("ideal", "stream", "oracle"):
@@ -416,24 +398,19 @@ def parse_problem(text):
                                  name_tok.line, name_tok.column)
             cursor.expect("PUNCT", "=")
             ideals[name_tok.text] = _parse_poly_list(reader)
-        elif tok.text == "stream":
-            if stream is not None:
-                raise ParseError("duplicate stream section", tok.line, tok.column)
+        elif tok.text in ("stream", "oracle"):
+            if tok.text in lists:
+                raise ParseError(f"duplicate {tok.text} section", tok.line, tok.column)
             cursor.expect("PUNCT", "=")
-            stream = _parse_poly_list(reader)
-        elif tok.text == "oracle":
-            if oracle_polys is not None:
-                raise ParseError("duplicate oracle section", tok.line, tok.column)
-            cursor.expect("PUNCT", "=")
-            oracle_polys = _parse_poly_list(reader)
+            lists[tok.text] = _parse_poly_list(reader)
         else:
             raise ParseError(f"unknown section keyword {tok.text!r}",
                              tok.line, tok.column)
         cursor.expect("PUNCT", ";")
     if reader is None:
         raise ParseError("the file declares no ring", 1, 1)
-    return ProblemFile(ring=reader.ring, ideals=ideals, stream=stream,
-                       oracle_polys=oracle_polys)
+    return ProblemFile(ring=reader.ring, ideals=ideals, stream=lists.get("stream"),
+                       oracle_polys=lists.get("oracle"))
 
 
 def _parse_text(text, parse, what):
@@ -450,7 +427,7 @@ def _parse_text(text, parse, what):
 
 def parse_polynomial(text, ring_):
     """Parse a single polynomial expression in the given ring."""
-    return _parse_text(text, lambda cursor: _PolyParser(cursor, ring_).expression(),
+    return _parse_text(text, lambda cursor: _PolyParser(cursor, ring_).polynomial(),
                        "polynomial expression")
 
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import neg
+from operator import add, neg
 
 from .errors import DomainError, RingMismatch, ZeroPolynomial
 from .intarith import is_prime
@@ -212,7 +212,6 @@ class Polynomial:
     @staticmethod
     def from_terms(ring_, pairs):
         """Normalize arbitrary (coefficient, monomial) pairs into a Polynomial."""
-        dom = ring_.domain
         acc = {}
         for c, mono in pairs:
             mono = tuple(mono)
@@ -221,13 +220,7 @@ class Polynomial:
             if any(e < 0 or e > _MAX_EXPONENT for e in mono):
                 raise ValueError(f"exponent out of range in {mono}")
             acc[mono] = acc.get(mono, 0) + c
-        key = monomial_key(ring_.order)
-        terms = []
-        for mono in sorted(acc, key=key, reverse=True):
-            c = dom.normalize(acc[mono])
-            if c != 0:
-                terms.append((c, mono))
-        return Polynomial(ring_, tuple(terms))
+        return _from_sums(ring_, acc)
 
     @staticmethod
     def zero(ring_):
@@ -352,21 +345,30 @@ def term_mul(f, c, mono):
     return Polynomial(f.ring, tuple(out))
 
 
-def poly_mul(f, g):
-    _same_ring(f, g)
-    dom = f.ring.domain
-    acc = {}
-    for cf, mf in f.terms:
-        for cg, mg in g.terms:
-            mono = monomial_mul(mf, mg)
-            acc[mono] = acc.get(mono, 0) + cf * cg
-    key = monomial_key(f.ring.order)
+def _from_sums(ring_, sums):
+    """The Polynomial of a dict monomial -> coefficient: normalized, sorted once."""
+    normalize = ring_.domain.normalize
     terms = []
-    for mono in sorted(acc, key=key, reverse=True):
-        c = dom.normalize(acc[mono])
+    for mono in sorted(sums, key=monomial_key(ring_.order), reverse=True):
+        c = normalize(sums[mono])
         if c != 0:
             terms.append((c, mono))
-    return Polynomial(f.ring, tuple(terms))
+    return Polynomial(ring_, tuple(terms))
+
+
+def _term_products(f, g):
+    """Monomial -> unnormalized coefficient of the product of two (c, m) pair lists."""
+    acc = {}
+    for cf, mf in f:
+        for cg, mg in g:
+            mono = tuple(map(add, mf, mg))
+            acc[mono] = acc.get(mono, 0) + cf * cg
+    return acc
+
+
+def poly_mul(f, g):
+    _same_ring(f, g)
+    return _from_sums(f.ring, _term_products(f.terms, g.terms))
 
 
 def leading_term(f):

@@ -23,18 +23,25 @@ are renamed by what they specify:
 - ``reference_is_groebner_basis``: ``is_groebner_basis`` before it
   skipped pairs, reducing every S-pair and G-pair (``test_groebner_check``);
 - ``reference_contract``: ``torsion._contract`` when it saturated at s
-  with an unseeded completion (``test_seeded_completion``).
+  with an unseeded completion (``test_seeded_completion``);
+- ``reference_tokenize``, ``reference_split_variable_factors``,
+  ``reference_PolyParser`` and ``reference_parse_problem``: the parser
+  when it scanned characters one by one and built every constant,
+  monomial, sum and product as a ``Polynomial`` (``test_parser``), with
+  ``_coeff_bits`` and ``_PUNCT``, the helpers of that time.
 """
 
 import bisect
 import heapq
 import math
+from fractions import Fraction
 from operator import add, le, neg, sub
 
 from modgrob import (
     Block,
     Lex,
     ModularDomain,
+    ParseError,
     Polynomial,
     ResourceLimitExceeded,
     RingDescriptor,
@@ -53,7 +60,19 @@ from modgrob.groebner import (
     _strongly_divides,
     _TailSteps,
 )
+from modgrob.parser import (
+    _MAX_NESTING,
+    _MAX_POWER_BITS,
+    _MAX_POWER_TERMS,
+    ProblemFile,
+    Token,
+    _Cursor,
+    _int,
+    _parse_ring,
+)
 from modgrob.polyring import (
+    _MAX_EXPONENT,
+    RationalDomain,
     drop_variable,
     fresh_variable_name,
     inject_variable,
@@ -495,3 +514,256 @@ def reference_contract(basis_z, limits=None):
             # monomial forces the whole polynomial to be Y-free.
             picked.append(drop_variable(h, 0, ring_))
     return picked
+
+
+_PUNCT = set("=,;()^+-*/:")
+
+
+def _coeff_bits(f):
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for c, _ in f.terms), default=0)
+
+
+def reference_tokenize(text):
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("INT", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("IDENT", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token("PUNCT", ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(Token("END", "", line, col))
+    return tokens
+
+
+def reference_split_variable_factors(token, variables):
+    """Split an IDENT like 'y2x' into [(var_index, exponent), ...].
+
+    Longest declared variable name wins at each position; a trailing digit
+    run is the exponent of the variable just matched.
+    """
+    by_length = sorted(variables, key=len, reverse=True)
+    text = token.text
+    pos = 0
+    factors = []
+    while pos < len(text):
+        for name in by_length:
+            if text.startswith(name, pos):
+                pos += len(name)
+                start = pos
+                while pos < len(text) and text[pos].isdigit():
+                    pos += 1
+                digits = Token("INT", text[start:pos], token.line, token.column + start)
+                factors.append((variables.index(name), _int(digits) if digits.text else 1))
+                break
+        else:
+            raise ParseError(f"unknown identifier {text[pos:]!r}",
+                             token.line, token.column + pos)
+    return factors
+
+
+class reference_PolyParser:  # noqa: N801  the frozen _PolyParser
+    """Recursive-descent expression parser over the shared token cursor.
+
+    One instance reads every polynomial of a problem file, so that they
+    all draw on one expansion budget.
+    """
+
+    def __init__(self, cursor, ring):
+        self.cur = cursor
+        self.ring = ring
+        self.depth = 0
+        self.spent = 0  # term products formed so far
+
+    def expression(self):
+        tok = self.cur.peek()
+        negate = False
+        if tok.kind == "PUNCT" and tok.text in "+-":
+            self.cur.advance()
+            negate = tok.text == "-"
+        result = self.term()
+        if negate:
+            result = -result
+        while True:
+            tok = self.cur.peek()
+            if tok.kind == "PUNCT" and tok.text in "+-":
+                self.cur.advance()
+                nxt = self.term()
+                result = result - nxt if tok.text == "-" else result + nxt
+            else:
+                return result
+
+    def term(self):
+        result = self.factor()
+        while True:
+            tok = self.cur.peek()
+            if tok.kind == "PUNCT" and tok.text == "/":
+                self.cur.advance()
+                result = self._divide(result, tok)
+            elif tok.kind in ("INT", "IDENT") or (tok.kind == "PUNCT" and tok.text in "*("):
+                self.cur.match("PUNCT", "*")
+                factor = self.factor()
+                result = self._capped_mul(result, factor, tok)
+            else:
+                return result
+
+    def _divide(self, numerator, slash_tok):
+        tok = self.cur.expect("INT")
+        value = _int(tok)
+        if value == 0:
+            raise ParseError("division by zero", tok.line, tok.column)
+        if not isinstance(self.ring.domain, RationalDomain):
+            raise ParseError("rational constants only make sense over QQ",
+                             slash_tok.line, slash_tok.column)
+        return numerator * Fraction(1, value)
+
+    def factor(self):
+        tok = self.cur.peek()
+        if tok.kind == "INT":
+            self.cur.advance()
+            base = Polynomial.constant(self.ring, _int(tok))
+            return self._power(base)
+        if tok.kind == "IDENT":
+            self.cur.advance()
+            factors = reference_split_variable_factors(tok, self.ring.variables)
+            # an explicit ^ binds to the last variable of the group, so
+            # that yx^2 reads as y*(x^2)
+            if self.cur.match("PUNCT", "^"):
+                exp_tok = self.cur.expect("INT")
+                idx, exp = factors[-1]
+                factors[-1] = (idx, exp * _int(exp_tok))
+            mono = [0] * self.ring.arity
+            for idx, exp in factors:
+                mono[idx] += exp
+            try:
+                return Polynomial.from_terms(self.ring, [(1, tuple(mono))])
+            except ValueError as exc:  # an exponent beyond the supported range
+                raise ParseError(str(exc), tok.line, tok.column) from None
+        if tok.kind == "PUNCT" and tok.text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}",
+                                 tok.line, tok.column)
+            self.cur.advance()
+            self.depth += 1
+            inner = self.expression()
+            self.depth -= 1
+            self.cur.expect("PUNCT", ")")
+            return self._power(inner)
+        raise ParseError(f"expected a polynomial factor, found {tok.text or 'end of input'!r}",
+                         tok.line, tok.column)
+
+    def _power(self, base):
+        if not self.cur.match("PUNCT", "^"):
+            return base
+        tok = self.cur.expect("INT")
+        exp = _int(tok)
+        top = max((e for _, mono in base.terms for e in mono), default=0)
+        if exp > _MAX_EXPONENT or exp * top > _MAX_EXPONENT:
+            raise ParseError(f"exponent out of range: {tok.text}", tok.line, tok.column)
+        message = f"power too large to expand: ^{tok.text}"
+        result = Polynomial.constant(self.ring, 1)
+        while exp:  # square and multiply
+            if exp & 1:
+                result = self._capped_mul(result, base, tok, message)
+            exp >>= 1
+            if exp:
+                base = self._capped_mul(base, base, tok, message)
+        return result
+
+    def _capped_mul(self, a, b, tok, message="product too large to expand"):
+        """a * b, charged to the term products spent so far, unless it
+        would pass the expansion caps."""
+        self.spent += len(a.terms) * len(b.terms)
+        if (self.spent > _MAX_POWER_TERMS
+                or _coeff_bits(a) + _coeff_bits(b) > _MAX_POWER_BITS):
+            raise ParseError(message, tok.line, tok.column)
+        return a * b
+
+
+def reference_parse_poly_list(reader):
+    polys = [reader.expression()]
+    while reader.cur.match("PUNCT", ","):
+        polys.append(reader.expression())
+    return tuple(polys)
+
+
+def reference_parse_problem(text, reader_class=reference_PolyParser):
+    """parse_problem with the frozen tokenizer and expression parser; the
+    reader class is a parameter, the body otherwise verbatim."""
+    tokens = reference_tokenize(text)
+    cursor = _Cursor(tokens)
+    if cursor.peek().kind == "END":
+        raise ParseError("empty problem file", 1, 1)
+    reader = None  # the one _PolyParser of the file, made at its ring
+    ideals = {}
+    stream = None
+    oracle_polys = None
+    while cursor.peek().kind != "END":
+        tok = cursor.expect("IDENT")
+        if reader is None and tok.text in ("ideal", "stream", "oracle"):
+            raise ParseError(f"{tok.text} section before the ring declaration",
+                             tok.line, tok.column)
+        if tok.text == "ring":
+            if reader is not None:
+                raise ParseError("duplicate ring declaration", tok.line, tok.column)
+            reader = reader_class(cursor, _parse_ring(cursor))
+        elif tok.text == "ideal":
+            name_tok = cursor.expect("IDENT")
+            if name_tok.text in ideals:
+                raise ParseError(f"duplicate ideal section {name_tok.text!r}",
+                                 name_tok.line, name_tok.column)
+            cursor.expect("PUNCT", "=")
+            ideals[name_tok.text] = reference_parse_poly_list(reader)
+        elif tok.text == "stream":
+            if stream is not None:
+                raise ParseError("duplicate stream section", tok.line, tok.column)
+            cursor.expect("PUNCT", "=")
+            stream = reference_parse_poly_list(reader)
+        elif tok.text == "oracle":
+            if oracle_polys is not None:
+                raise ParseError("duplicate oracle section", tok.line, tok.column)
+            cursor.expect("PUNCT", "=")
+            oracle_polys = reference_parse_poly_list(reader)
+        else:
+            raise ParseError(f"unknown section keyword {tok.text!r}",
+                             tok.line, tok.column)
+        cursor.expect("PUNCT", ";")
+    if reader is None:
+        raise ParseError("the file declares no ring", 1, 1)
+    return ProblemFile(ring=reader.ring, ideals=ideals, stream=stream,
+                       oracle_polys=oracle_polys)

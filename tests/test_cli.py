@@ -328,6 +328,20 @@ def test_huge_exponent_is_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: line 2, column 11: exponent out of range")
 
 
+@pytest.mark.parametrize("command", ["gb", "torsion"])
+def test_product_past_the_exponent_bound_is_parse_error(tmp_path, capsys, command):
+    """x^2147483647*x^2 has the term x^2147483649, past the bound 2^31 that
+    holds for every term; x^2147483648 reaches it and is kept."""
+    path = tmp_path / "product.mg"
+    path.write_text("ring r = ZZ, (x), lp; ideal I = x^2147483647*x^2;\n")
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err == "parse error: line 1, column 45: exponent out of range: 2147483649\n"
+    path.write_text("ring r = ZZ, (x), lp; ideal I = (x^2147483647)^1*x;\n")
+    code, out, err = run(capsys, command, path)
+    assert code == 0 and err == "" and "x^2147483648" in out
+
+
 @pytest.mark.parametrize("ideal", ["(x)^99999999999", "2^99999999999"])
 def test_huge_power_is_parse_error_at_once(tmp_path, capsys, ideal):
     path = tmp_path / "pow.mg"

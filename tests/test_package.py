@@ -6,6 +6,9 @@ from pathlib import Path
 import modgrob
 from modgrob.cli import build_arg_parser
 
+ROOT = Path(__file__).resolve().parent.parent
+LINE_CAP = 2_795  # ROADMAP item 6: the line budget of src/modgrob
+
 
 def test_all_exports_no_submodules():
     exported = {name: getattr(modgrob, name) for name in modgrob.__all__}
@@ -36,3 +39,9 @@ def test_readme_synopsis_lists_the_flags_each_command_declares():
     declared = {name: {flag for action in sub._actions for flag in action.option_strings}
                 - common for name, sub in subcommands.items()}
     assert synopsis == declared
+
+
+def test_package_stays_inside_its_line_budget():
+    lines = sum(len(path.read_text().splitlines())
+                for path in (ROOT / "src" / "modgrob").glob("*.py"))
+    assert lines < LINE_CAP
