@@ -81,7 +81,7 @@ def arnold_conditions(i_gens, g_set, p, limits=None):
     The verdict is Verified only when all four hold AND every input
     polynomial is homogeneous; otherwise ConditionFailed with the list of
     failing conditions, or InapplicableNonHomogeneous.  ``limits`` bounds
-    each completion and completeness check the verifier runs.
+    the verifier's completions and check, together if it is a ``RunStats``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

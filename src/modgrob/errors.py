@@ -39,11 +39,11 @@ class OracleFailure(ModGrobError):
 
 
 class InvalidLimit(ModGrobError):
-    """A ``Limits`` budget (``--max-pairs`` on the command line) is negative."""
+    """A ``Limits`` budget (``--max-pairs``, the whole command's) is negative."""
 
 
 class ResourceLimitExceeded(ModGrobError):
-    """Completion exceeded the configured pair or reduction budget."""
+    """A run spent more pairs or steps than its ``Limits`` or ``RunStats`` allow."""
 
 
 class ParseError(ModGrobError):

@@ -55,12 +55,12 @@ G_PAIR = 1
 
 @dataclass(frozen=True)
 class Limits:
-    """Budget for one completion run; exceeding it raises instead of spinning.
+    """Budget of a run; exceeding it raises instead of spinning.
 
     The pair budget is the primary guard; the reduction budget is a wide
     backstop (elimination orders legitimately burn millions of steps).
-    Only pairs whose polynomial is built and reduced count: a pair skipped
-    by a criterion is free.
+    Only built pairs count: one a criterion skips is free.  A ``Limits``
+    bounds each completion afresh, a ``RunStats`` all the calls given it.
     """
 
     max_pairs: int = 50_000
@@ -73,16 +73,17 @@ class Limits:
             raise InvalidLimit(f"reduction budget must be >= 0, got {self.max_reductions}")
 
 
-DEFAULT_LIMITS = Limits()
+class RunStats:
+    """The work of a run against the ``Limits`` it holds: pair polynomials
+    built, completion ``reductions`` (steps reducing a generator or a pair)
+    and all reduction ``steps``, which ``max_reductions`` bounds.  Every
+    call given one ``RunStats`` as ``limits`` draws on it."""
 
+    __slots__ = ("limits", "pairs", "reductions", "steps")
 
-class _Budget:
-    __slots__ = ("limits", "pairs", "reductions")
-
-    def __init__(self, limits):
-        self.limits = limits or DEFAULT_LIMITS
-        self.pairs = 0
-        self.reductions = 0
+    def __init__(self, limits=None):
+        self.limits = limits or Limits()
+        self.pairs = self.reductions = self.steps = 0
 
     def pair(self):
         self.pairs += 1
@@ -93,29 +94,23 @@ class _Budget:
 
     def reduction(self):
         self.reductions += 1
-        if self.reductions > self.limits.max_reductions:
+        self.steps += 1
+        if self.steps > self.limits.max_reductions:
             raise ResourceLimitExceeded(
                 f"reduction budget exhausted ({self.limits.max_reductions})")
 
-
-class _TailSteps:
-    """A run's budget as ``_canonicalize`` charges it: each step counts
-    against the run's reduction limit, but not as a call of
-    ``_Budget.reduction``, which counts the steps completion spends on
-    generators and pairs."""
-
-    __slots__ = ("budget",)
-
-    def __init__(self, budget):
-        self.budget = budget
-
-    def reduction(self):
-        budget = self.budget
-        budget.reductions += 1
-        if budget.reductions > budget.limits.max_reductions:
+    def step(self):
+        """A step outside completion: the basis reduction's, a multiplier's."""
+        self.steps += 1
+        if self.steps > self.limits.max_reductions:
             raise ResourceLimitExceeded(
-                f"reduction budget exhausted ({budget.limits.max_reductions}) "
+                f"reduction budget exhausted ({self.limits.max_reductions}) "
                 "while reducing the basis")
+
+
+def _run_stats(limits):
+    """``limits`` if it is a ``RunStats``, else a fresh one bounded by it."""
+    return limits if isinstance(limits, RunStats) else RunStats(limits)
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,7 @@ def _check_reducers(f, reducers):
             raise ZeroPolynomial("zero polynomial in reducer list")
 
 
-def _reduce(f, reducers, budget=None, pseudo=False):
+def _reduce(f, reducers, step=None, pseudo=False):
     """Shared division loop; deterministic: first eligible reducer wins.
 
     Returns (multiplier, remainder): multiplier * f - remainder is a
@@ -157,7 +152,8 @@ def _reduce(f, reducers, budget=None, pseudo=False):
     reducer whose lead monomial divides: the working polynomial and the
     remainder so far are scaled by gc/gcd(c, gc), so the lead term cancels
     over ZZ.  Each step is the QQ step up to a nonzero rational factor.
-    The multiplier is the product of these scales, 1 without ``pseudo``.
+    The multiplier is the product of these scales, 1 without ``pseudo``;
+    ``step``, if given, is called once per step.
 
     The current largest monomial comes from a lazy max-heap (entries whose
     monomial dropped out of the working dict are skipped on pop).  Each
@@ -202,8 +198,8 @@ def _reduce(f, reducers, budget=None, pseudo=False):
                 q, _ = coeff_divmod(c, gc)
                 if q == 0:
                     continue
-            if budget is not None:
-                budget.reduction()
+            if step is not None:
+                step()
             # The lead term lands on mono itself, every other term below it.
             c -= q * gc
             shift = tuple(map(sub, mono, gm))
@@ -369,8 +365,8 @@ class _Pairs:
     ``add(g)`` appends g to ``elements`` and queues its pairs.  Iterating
     pops pairs by the order key of their lcm, S-pairs before G-pairs, then
     in creation order, sees pairs queued meanwhile, and yields (kind, f, g)
-    for each pair no criterion skips.  Only those are charged to ``budget``,
-    which the caller's reductions share.
+    for each pair no criterion skips.  Only those are charged to ``stats``,
+    the run's ``RunStats``, which the caller's reductions share.
 
     Write lt_i = c_i m_i, every c_i taken as 1 over a field, and T_ij =
     lcm(c_i, c_j) lcm(m_i, m_j).  The criteria are Gebauer and Moeller's
@@ -427,7 +423,7 @@ class _Pairs:
     def __init__(self, ring_, limits, chain, seeded=0):
         self.field = ring_.domain.is_field
         self.key = monomial_key(ring_.order)
-        self.budget = _Budget(limits)
+        self.stats = _run_stats(limits)
         self.chain = chain
         self.seeded = seeded
         self.elements = []
@@ -469,7 +465,7 @@ class _Pairs:
                 c = math.gcd(leads[i][0], leads[j][0])
                 if any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads):
                     continue
-            self.budget.pair()
+            self.stats.pair()
             yield kind, self.elements[i], self.elements[j]
 
 
@@ -500,7 +496,7 @@ def _complete(gens, ring_, limits, seeded=0):
 
     def add_reduced(f):
         """Reduce f; a nonzero remainder joins the basis along with its pairs."""
-        _, r = _reduce(f, reducers, budget=pairs.budget, pseudo=pseudo)
+        _, r = _reduce(f, reducers, pairs.stats.reduction, pseudo)
         if not r.is_zero:
             r = normalize(r)
             bisect.insort(reducers, r, key=sort_key)
@@ -514,10 +510,10 @@ def _complete(gens, ring_, limits, seeded=0):
     G = pairs.elements
     if pseudo:
         G = [change_domain(g, ring_.domain) for g in G]
-    return _canonicalize(G, ring_, key, pairs.budget)
+    return _canonicalize(G, ring_, key, pairs.stats)
 
 
-def _canonicalize(G, ring_, key, budget=None):
+def _canonicalize(G, ring_, key, stats):
     """Minimize and (strongly) tail-reduce a complete basis in one pass.
 
     G is complete (strong over ZZ).  For kept g, h with leads c*m, d*m'
@@ -526,11 +522,10 @@ def _canonicalize(G, ring_, key, budget=None):
     or h would strongly divide g.  So d > c, c divided by d is 0, and no
     step touches a lead term; over a field no other lead monomial divides
     m.  One pass leaves every tail irreducible by unchanged, normalized
-    leads: the reduced basis.  Steps are charged to ``budget``, the
-    completion's own when it built G.
+    leads: the reduced basis.  Steps are charged to ``stats``, the
+    completion's ``RunStats``, as steps outside completion.
     """
     normalize, _ = _domain_rules(ring_)
-    steps = _TailSteps(budget or _Budget(None))
     G = sorted((normalize(g) for g in G if not g.is_zero), key=_poly_sort_key(key))
     kept = []
     for g in G:
@@ -538,7 +533,7 @@ def _canonicalize(G, ring_, key, budget=None):
         if not any(_strongly_divides(leading_term(h), lt) for h in kept):
             kept.append(g)
     for i in range(len(kept)):
-        kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], budget=steps)[1]
+        kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], stats.step)[1]
     kept.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
     return GroebnerBasis(ring_, tuple(kept), reduced=True)
 
@@ -641,8 +636,7 @@ def is_groebner_basis(polys, limits=None):
     for p in polys:
         pairs.add(p)
     for kind, f, g in pairs:
-        _, r = _reduce(pair_functions[kind](f, g), polys, budget=pairs.budget,
-                       pseudo=pseudo)
+        _, r = _reduce(pair_functions[kind](f, g), polys, pairs.stats.reduction, pseudo)
         if not r.is_zero:
             return False
     return True

@@ -167,7 +167,7 @@ class _PolyParser:
         self.one, self.unit = ring.one_monomial(), self.normalize(1)
         self.key = monomial_key(ring.order)
         # the longest declared name wins at each position of an identifier
-        names = sorted(filter(None, ring.variables), key=len, reverse=True)
+        names = sorted(ring.variables, key=len, reverse=True)
         self.names = re.compile(f"({'|'.join(map(re.escape, names)) or '(?!)'})([0-9]*)")
         self.index = {name: i for i, name in enumerate(ring.variables)}
         self.depth = self.spent = 0  # parentheses open; term products formed so far

@@ -189,8 +189,8 @@ class RingDescriptor:
     domain: IntegerDomain | RationalDomain | ModularDomain
 
     def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("variable names must be distinct")
+        if "" in self.variables or len(set(self.variables)) != len(self.variables):
+            raise ValueError("variable names must be distinct and nonempty")
 
     @property
     def arity(self):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import groebner
 from .errors import DomainError, NonMember
-from .groebner import _check_reducers, _reduce, buchberger_z, ideal_member
+from .groebner import _check_reducers, _reduce, _run_stats, buchberger_z
 from .intarith import factorize
 from .polyring import (
     Block,
@@ -71,24 +71,26 @@ def _contract(basis_z, limits=None):
     return picked
 
 
-def minimal_multiplier(g, j_basis_z):
+def minimal_multiplier(g, j_basis_z, limits=None):
     """Least m_g >= 1 with m_g * g in J, for g in QQ J intersect ZZ[X].
 
     ``j_basis_z`` is the reduced strong basis of J, so also a Groebner
     basis of QQ J: pseudo-division of g by it ends in remainder 0 with a
     multiplier k0 for which k0 * g is an integer combination of the basis,
     hence in J.  The valid multipliers form an ideal of ZZ, so stripping
-    primes of k0 while membership holds reaches the minimum.
+    primes of k0 while membership holds reaches the minimum.  Steps are
+    charged to ``limits`` as steps outside completion.
     """
     reducers = list(j_basis_z)
     _check_reducers(g, reducers)
     if not isinstance(g.ring.domain, IntegerDomain):
         raise DomainError("minimal multipliers work over ZZ")
-    k, remainder = _reduce(g, reducers, pseudo=True)
+    step = _run_stats(limits).step
+    k, remainder = _reduce(g, reducers, step, pseudo=True)
     if not remainder.is_zero:
         raise NonMember(f"{g} is not in the rational span of the basis")
     for p, _ in factorize(k):
-        while k % p == 0 and ideal_member(poly_scale(g, k // p), j_basis_z):
+        while k % p == 0 and _reduce(poly_scale(g, k // p), reducers, step)[1].is_zero:
             k //= p
     return k
 
@@ -102,7 +104,7 @@ def torsion_report(basis_z, limits=None):
     contracted = _contract(basis_z, limits)
     multipliers = []
     for g in contracted:
-        multipliers.append((g, minimal_multiplier(g, basis_z)))
+        multipliers.append((g, minimal_multiplier(g, basis_z, limits)))
     exponent = math.lcm(*(m for _, m in multipliers))
     return TorsionReport(exponent=exponent,
                          saturation_basis=tuple(contracted),

@@ -52,13 +52,12 @@ from modgrob.groebner import (
     G_PAIR,
     S_PAIR,
     GroebnerBasis,
-    _Budget,
     _canonicalize,
     _domain_rules,
     _poly_sort_key,
     _reduce,
+    _run_stats,
     _strongly_divides,
-    _TailSteps,
 )
 from modgrob.parser import (
     _MAX_NESTING,
@@ -314,7 +313,7 @@ def fraction_complete(gens, ring_, limits):
     """
     normalize, pair_functions = _domain_rules(ring_)
     criteria = not ring_.domain.is_field
-    budget = _Budget(limits)
+    budget = _run_stats(limits)
     key = monomial_key(ring_.order)
     G = []
     leads = []  # (lead coefficient, lead monomial) of each element of G
@@ -404,7 +403,7 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
     builds the pairs of a seed too.
     """
     normalize, pair_functions = _domain_rules(ring_)
-    budget = _Budget(limits)
+    budget = _run_stats(limits)
     key = monomial_key(ring_.order)
     G = []
     view = _ReducerView(key)
@@ -414,7 +413,7 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
     def add_reduced(f):
         """Reduce f; a nonzero remainder joins G along with its pairs."""
         nonlocal counter
-        _, r = _reduce(f, view.polys, budget=budget)
+        _, r = _reduce(f, view.polys, budget.reduction)
         if r.is_zero:
             return
         new_index = len(G)
@@ -442,20 +441,19 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
         _, kind, _, i, j = heapq.heappop(queue)
         budget.pair()
         add_reduced(pair_functions[kind](G[i], G[j]))
-    return _canonicalize(G, ring_, key)
+    return _canonicalize(G, ring_, key, budget)
 
 
-def fixed_point_canonicalize(G, ring_, key, budget=None):
+def fixed_point_canonicalize(G, ring_, key, stats):
     """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
 
     Over a field the first pass already gives the reduced basis and the
     second only confirms it; over ZZ a tail reduction can lower a lead
     coefficient and so change which elements are minimal.  A pass that is
     not the last takes a reduction step, and every step is charged to
-    ``budget``, the completion's own when it built G, so the loop ends.
+    ``stats``, the completion's ``RunStats``, so the loop ends.
     """
     normalize, _ = _domain_rules(ring_)
-    steps = _TailSteps(budget or _Budget(None))
     G = [normalize(g) for g in G if not g.is_zero]
     while True:
         G.sort(key=_poly_sort_key(key))
@@ -467,7 +465,7 @@ def fixed_point_canonicalize(G, ring_, key, budget=None):
         stable = True
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
-            _, r = _reduce(kept[i], others, budget=steps)
+            _, r = _reduce(kept[i], others, stats.step)
             r = normalize(r)
             if r != kept[i]:
                 stable = False

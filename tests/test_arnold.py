@@ -12,6 +12,7 @@ from modgrob import (
     QQ,
     Limits,
     ResourceLimitExceeded,
+    RunStats,
     ZeroPolynomial,
     arnold_conditions,
     buchberger_field,
@@ -58,7 +59,7 @@ def P(text, ring_=R1):
 def canonical_basis(polys):
     """The reduced basis of polys, a Groebner basis of a nonzero ideal."""
     ring_ = polys[0].ring
-    return _canonicalize(polys, ring_, monomial_key(ring_.order))
+    return _canonicalize(polys, ring_, monomial_key(ring_.order), RunStats())
 
 
 def test_nonhomogeneous_counterexample_all_conditions_hold():

@@ -245,6 +245,21 @@ def test_max_pairs_zero_is_a_budget_of_zero_pairs(tmp_path, capsys):
     assert code == 0 and out == "2x\n"
 
 
+@pytest.mark.parametrize("command, file, spent", [
+    ("torsion", "chain_dp.mg", 28),
+    ("solve-p", "solve_p_demo.mg", 5),
+])
+def test_max_pairs_bounds_the_whole_command(capsys, command, file, spent):
+    """One budget for all of a command's completions, the oracle's included:
+    torsion on chain_dp spends 28 pairs over two completions (the larger 19),
+    solve-p on solve_p_demo 5 over nine (none more than 2)."""
+    assert run(capsys, command, CORPUS / file, "--max-pairs", str(spent))[0] == 0
+    code, out, err = run(capsys, command, CORPUS / file, "--max-pairs", str(spent - 1))
+    assert (code, out) == (2, "")
+    assert err == (f"resource limit: pair budget exhausted ({spent - 1}); "
+                   "raise --max-pairs if this is intended\n")
+
+
 def test_negative_max_pairs_is_usage_error(tmp_path, capsys):
     path = tmp_path / "one.mg"
     path.write_text("ring r = ZZ, (x), lp; ideal I = 2x;\n")

@@ -18,6 +18,7 @@ from modgrob import (
     ModularDomain,
     Polynomial,
     ResourceLimitExceeded,
+    RunStats,
     arnold_conditions,
     buchberger_field,
     buchberger_z,
@@ -69,8 +70,10 @@ def cyclic(n, domain):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Calls of each pair function, and reduction steps, made from now on."""
-    counts = dict.fromkeys(PAIR_FUNCTIONS + ("reductions",), 0)
+    """A ``RunStats`` for the calls under test, and ``spent()``: the calls of
+    each pair function made from now on, and the completion steps charged
+    to that ``RunStats``."""
+    counts = dict.fromkeys(PAIR_FUNCTIONS, 0)
     for name in PAIR_FUNCTIONS:
         original = getattr(groebner, name)
 
@@ -79,26 +82,22 @@ def work(monkeypatch):
             return original(f, g)
 
         monkeypatch.setattr(groebner, name, counting)
-    step = groebner._Budget.reduction
-
-    def counting_step(budget):
-        counts["reductions"] += 1
-        return step(budget)
-
-    monkeypatch.setattr(groebner._Budget, "reduction", counting_step)
-    return counts
+    stats = RunStats()
+    return stats, lambda: {**counts, "reductions": stats.reductions}
 
 
 def test_katsura3_over_zz(work):
-    basis = buchberger_z(katsura(3, ZZ))
-    assert work == {"s_pair_z": 122, "g_pair_z": 8, "s_polynomial_field": 0,
+    stats, spent = work
+    basis = buchberger_z(katsura(3, ZZ), stats)
+    assert spent() == {"s_pair_z": 122, "g_pair_z": 8, "s_polynomial_field": 0,
                     "reductions": 1739}
     assert len(basis) == 12
 
 
 def test_cyclic4_over_qq(work):
-    basis = buchberger_field(cyclic(4, QQ))
-    assert work == {"s_pair_z": 13, "g_pair_z": 0, "s_polynomial_field": 0,
+    stats, spent = work
+    basis = buchberger_field(cyclic(4, QQ), stats)
+    assert spent() == {"s_pair_z": 13, "g_pair_z": 0, "s_polynomial_field": 0,
                     "reductions": 50}
     assert len(basis) == 7
 
@@ -110,15 +109,17 @@ def test_cyclic4_over_qq(work):
 def test_larger_ideals_over_qq(work, family, n, s_pairs, reductions, elements):
     """Fraction-free completion over QQ makes the pairs and steps of the
     Fraction arithmetic it replaced (these counts were recorded with it)."""
-    basis = buchberger_field(family(n, QQ))
-    assert work == {"s_pair_z": s_pairs, "g_pair_z": 0, "s_polynomial_field": 0,
+    stats, spent = work
+    basis = buchberger_field(family(n, QQ), stats)
+    assert spent() == {"s_pair_z": s_pairs, "g_pair_z": 0, "s_polynomial_field": 0,
                     "reductions": reductions}
     assert len(basis) == elements
 
 
 def test_cyclic4_over_f32003(work):
-    basis = buchberger_field(cyclic(4, ModularDomain(32003)))
-    assert work == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": 8,
+    stats, spent = work
+    basis = buchberger_field(cyclic(4, ModularDomain(32003)), stats)
+    assert spent() == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": 8,
                     "reductions": 30}
     assert len(basis) == 7
 
@@ -130,15 +131,17 @@ def test_cyclic4_over_f32003(work):
 def test_larger_ideals_over_f32003(work, family, n, s_pairs, reductions, elements):
     """Completion over ZZ/p runs the chain criterion: without it these took
     147 / 14,543 and 733 / 29,742 pair polynomials / steps."""
-    basis = buchberger_field(family(n, ModularDomain(32003)))
-    assert work == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": s_pairs,
+    stats, spent = work
+    basis = buchberger_field(family(n, ModularDomain(32003)), stats)
+    assert spent() == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": s_pairs,
                     "reductions": reductions}
     assert len(basis) == elements
 
 
 def test_katsura3_mod_12(work):
-    basis = gb_mod_m(katsura(3, ZZ), 12)
-    assert work == {"s_pair_z": 78, "g_pair_z": 7, "s_polynomial_field": 0,
+    stats, spent = work
+    basis = gb_mod_m(katsura(3, ZZ), 12, stats)
+    assert spent() == {"s_pair_z": 78, "g_pair_z": 7, "s_polynomial_field": 0,
                     "reductions": 802}
     assert len(basis) == 9
 
@@ -152,21 +155,25 @@ def test_tail_instance_saturation(work, monkeypatch):
     ring_ = ring(("z", "y", "x"), DegRevLex(), ZZ)
     gens = [parse_polynomial(text, ring_)
             for text in ("6y^3+7y", "-4y^3+zy-2x", "6z^2yx+5z^2y-4y^2x")]
+    stats, spent = work
     saturation = {}
     contract = torsion._contract
 
     def counting_contract(basis_z, limits=None):
-        before = dict(work)
+        before = spent()
         picked = contract(basis_z, limits)
-        saturation.update((name, work[name] - before[name]) for name in work)
+        saturation.update((name, count - before[name]) for name, count in spent().items())
         return picked
 
     monkeypatch.setattr(torsion, "_contract", counting_contract)
-    report = torsion_exponent(gens)
+    report = torsion_exponent(gens, stats)
     assert saturation == {"s_pair_z": 207, "g_pair_z": 22, "s_polynomial_field": 0,
                           "reductions": 5233}
-    assert work == {"s_pair_z": 435, "g_pair_z": 40, "s_polynomial_field": 0,
+    assert spent() == {"s_pair_z": 435, "g_pair_z": 40, "s_polynomial_field": 0,
                     "reductions": 7699}
+    # every step: 7,699 completing, 47 reducing the two bases and 167
+    # finding the 13 multipliers, which draw on the same budget
+    assert stats.steps == 7699 + 47 + 167
     assert report.exponent == 2 and len(report.saturation_basis) == 13
 
 
@@ -181,6 +188,30 @@ def test_pair_budget_counts_only_built_pairs():
         buchberger_z(katsura(3, ZZ), Limits(max_pairs=KATSURA3_ZZ_PAIRS - 1))
 
 
+def test_one_run_stats_bounds_the_calls_that_share_it():
+    """Calls given one ``RunStats`` spend from it together, what each spends
+    alone; a ``Limits`` is never used up, each call counts afresh."""
+    calls = [lambda limits: buchberger_z(katsura(3, ZZ), limits),
+             lambda limits: torsion_exponent(katsura(2, ZZ), limits)]
+    alone = []
+    for call in calls:
+        stats = RunStats()
+        call(stats)
+        alone.append((stats.pairs, stats.reductions, stats.steps))
+    shared = RunStats()
+    for call in calls:
+        call(shared)
+    assert (shared.pairs, shared.reductions, shared.steps) == tuple(map(sum, zip(*alone)))
+    limits = Limits(max_pairs=KATSURA3_ZZ_PAIRS)  # enough for either call alone
+    assert [pairs for pairs, _, _ in alone] == [KATSURA3_ZZ_PAIRS, 47]
+    for call in calls + calls:
+        call(limits)
+    shared = RunStats(limits)
+    calls[0](shared)
+    with pytest.raises(ResourceLimitExceeded, match=r"^pair budget exhausted \(130\)"):
+        calls[1](shared)
+
+
 @pytest.mark.parametrize("family, n, p, s_pairs", [
     (cyclic, 4, 32003, 16),
     (cyclic, 4, 2, 16),
@@ -191,9 +222,10 @@ def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_pairs):
     """The verifier completes I mod p only: G is complete over QQ, so it is
     not completed again, and the criteria skip most of its pairs.  S-pairs
     over F_p and the fraction-free ones of the QQ check count alike."""
+    _, spent = work
     i_gens = homogenize_ideal(family(n, ZZ))
     g_set = integer_scaled_basis(i_gens)
-    before = work["s_polynomial_field"] + work["s_pair_z"]
+    before = spent()
     completions = [0]
     complete = arnold.buchberger_field
 
@@ -203,7 +235,8 @@ def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_pairs):
 
     monkeypatch.setattr(arnold, "buchberger_field", counting_complete)
     report = arnold_conditions(i_gens, g_set, p)
-    built = work["s_polynomial_field"] + work["s_pair_z"] - before
+    after = spent()
+    built = sum(after[name] - before[name] for name in ("s_polynomial_field", "s_pair_z"))
     assert (built, completions[0]) == (s_pairs, 1)
     assert report.condition2 and report.condition3
 
@@ -242,12 +275,13 @@ def test_certify_saturation_work(work, instance, exponent, s_pairs, g_pairs, red
     """The saturation in a certificate is seeded with the strong basis and
     runs at rad(s): its pair polynomials and steps are pinned here, so a
     seed that treats its pairs again, or a saturation at s, fails."""
+    stats, spent = work
     variables, texts = CERTIFY_PREFIXES[instance]
     ring_ = ring(tuple(variables), DegRevLex(), ZZ)
     basis = buchberger_z([parse_polynomial(text, ring_) for text in texts])
-    before = dict(work)
-    report = torsion.torsion_report(basis)
-    spent = {name: work[name] - before[name] for name in work}
+    before = spent()
+    report = torsion.torsion_report(basis, stats)
     assert report.exponent == exponent
-    assert spent == {"s_pair_z": s_pairs, "g_pair_z": g_pairs, "s_polynomial_field": 0,
-                     "reductions": reductions}
+    saturation = {name: count - before[name] for name, count in spent().items()}
+    assert saturation == {"s_pair_z": s_pairs, "g_pair_z": g_pairs, "s_polynomial_field": 0,
+                          "reductions": reductions}

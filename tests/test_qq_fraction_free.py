@@ -24,10 +24,10 @@ from modgrob import (
     Limits,
     Polynomial,
     ResourceLimitExceeded,
+    RunStats,
     buchberger_field,
     groebner,
 )
-from modgrob.groebner import _Budget
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import ring
 from reference import fraction_complete
@@ -63,22 +63,10 @@ def _ideal(order, *texts):
 
 
 def _run(gens):
-    """buchberger_field(gens) with the pairs it built and its reduction steps."""
-    counts = {"pairs": 0, "reductions": 0}
-    pair, step = _Budget.pair, _Budget.reduction
-
-    def counting_pair(budget):
-        counts["pairs"] += 1
-        return pair(budget)
-
-    def counting_step(budget):
-        counts["reductions"] += 1
-        return step(budget)
-
-    with mock.patch.object(_Budget, "pair", counting_pair), \
-            mock.patch.object(_Budget, "reduction", counting_step):
-        basis = buchberger_field(gens, BUDGET)
-    return basis, counts
+    """buchberger_field(gens) with the pairs it built and its completion steps."""
+    stats = RunStats(BUDGET)
+    basis = buchberger_field(gens, stats)
+    return basis, {"pairs": stats.pairs, "reductions": stats.reductions}
 
 
 @given(qq_ideals())

@@ -11,9 +11,12 @@ from modgrob import (
     DegRevLex,
     DomainError,
     Lex,
+    Limits,
     NonMember,
     Polynomial,
+    ResourceLimitExceeded,
     RingMismatch,
+    RunStats,
     buchberger_z,
     change_domain,
     gb_equal,
@@ -110,6 +113,19 @@ def test_multiplier_in_chain():
     basis_z = buchberger_z(CHAIN)
     z = parse_polynomial("z", R3)
     assert minimal_multiplier(z, basis_z) == 27
+
+
+def test_multiplier_steps_draw_on_the_run_budget():
+    """The pseudo-division and the membership tests are charged as steps
+    outside completion: 6 for z against the chain's strong basis."""
+    basis_z = buchberger_z(CHAIN)
+    z = parse_polynomial("z", R3)
+    stats = RunStats()
+    assert minimal_multiplier(z, basis_z, stats) == 27
+    assert (stats.pairs, stats.reductions, stats.steps) == (0, 0, 6)
+    assert minimal_multiplier(z, basis_z, Limits(max_reductions=6)) == 27
+    with pytest.raises(ResourceLimitExceeded, match=r"^reduction budget exhausted \(5\)"):
+        minimal_multiplier(z, basis_z, Limits(max_reductions=5))
 
 
 def test_multiplier_rejects_non_members():
