@@ -81,7 +81,7 @@ def arnold_conditions(i_gens, g_set, p, limits=None):
     The verdict is Verified only when all four hold AND every input
     polynomial is homogeneous; otherwise ConditionFailed with the list of
     failing conditions, or InapplicableNonHomogeneous.  ``limits`` bounds
-    the verifier's completions and check, together if it is a ``RunStats``.
+    all the verifier's work, together if it is a ``RunStats``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -102,7 +102,7 @@ def arnold_conditions(i_gens, g_set, p, limits=None):
     g_p = _nonzero_images_mod_p(g_set, p)
     i_p_basis = buchberger_field([change_domain(f, ModularDomain(p)) for f in i_gens],
                                  limits, ring=with_domain(ring_, ModularDomain(p)))
-    cond1 = (all(normal_form(g, i_p_basis).is_zero for g in g_p)
+    cond1 = (all(normal_form(g, i_p_basis, limits).is_zero for g in g_p)
              and all(any(monomial_divides(leading_monomial(g), leading_monomial(h))
                          for g in g_p)
                      for h in i_p_basis))
@@ -117,7 +117,7 @@ def arnold_conditions(i_gens, g_set, p, limits=None):
     g_q_basis = g_q_monic
     if not cond2:
         g_q_basis = buchberger_field(g_q_monic, limits, ring=with_domain(ring_, QQ))
-    cond3 = all(normal_form(change_domain(f, QQ), g_q_basis).is_zero for f in i_gens)
+    cond3 = all(normal_form(change_domain(f, QQ), g_q_basis, limits).is_zero for f in i_gens)
 
     # (4) Lead monomials agree as sets, coefficients ignored.
     lm_g = {leading_monomial(g) for g in g_set}

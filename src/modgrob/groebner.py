@@ -240,11 +240,12 @@ def _reduce(f, reducers, step=None, pseudo=False):
     return multiplier, Polynomial(f.ring, tuple(rem))
 
 
-def normal_form(f, basis):
-    """Fully reduce f against a list of polynomials (or a GroebnerBasis)."""
+def normal_form(f, basis, limits=None):
+    """Fully reduce f against a list of polynomials (or a GroebnerBasis),
+    charging each step to ``limits``, if given, as a step outside completion."""
     reducers = list(basis)
     _check_reducers(f, reducers)
-    return _reduce(f, reducers)[1]
+    return _reduce(f, reducers, None if limits is None else _run_stats(limits).step)[1]
 
 
 def ideal_member(f, basis):
@@ -379,17 +380,16 @@ class _Pairs:
       multiple of a parent and is not queued either;
     - the chain criterion, with ``chain`` set: some k other than i and j
       has lt_k dividing T_ij, and neither S-pair (i, k) nor (j, k) is
-      pending, so each was dropped by the product criterion or popped
-      before (i, j).  The S-syzygies of the lead terms generate their
-      syzygy module over a field or a PID, and S_ij = (T_ij / T_ik) S_ik -
-      (T_ij / T_jk) S_jk.  By induction on the time a pair left the queue,
-      every S-pair has a representation below its T: it reduced to zero,
-      the product criterion gives one, or the chain criterion builds one
-      from two pairs treated earlier.  Without the pending rule, pairs on
-      one lcm could skip each other in a cycle.  The completeness check
-      and completion over ZZ and ZZ/p set ``chain``.  Only the
-      fraction-free completion over QQ does not yet: the benchmark's
-      self-test pins its pair counts;
+      pending, so each was treated before (i, j), which stays pending
+      through its own test.  The S-syzygies of the lead terms generate
+      their syzygy module over a field or a PID, and S_ij = (T_ij / T_ik)
+      S_ik - (T_ij / T_jk) S_jk.  By induction on the time a pair was
+      treated, every S-pair has a representation below its T: it reduced
+      to zero, the product criterion gives one, or two pairs treated
+      earlier do.  Without the pending rule, pairs on one lcm could skip
+      each other in a cycle.  The completeness check and completion over
+      ZZ and ZZ/p set ``chain``.  Only the fraction-free completion over
+      QQ does not yet: the benchmark's self-test pins its pair counts;
     - the G-pair criterion (ZZ only): some lt_k strongly divides gcd(c_i,
       c_j) lcm(m_i, m_j).  Elements never leave the basis, so one still
       does at the end.  Given the S-pairs, were the basis then not strong,
@@ -400,6 +400,19 @@ class _Pairs:
       term, a canonical residue modulo every lead coefficient over m:
       completion added a lead coefficient below |c_k| over m, and the check
       failed.
+
+    With ``chain`` set, an element i whose lead term that of a later w
+    strongly divides (over a field: whose lead monomial divides) is
+    redundant, w its first witness, and makes no pair with an element l
+    added after w: Gebauer and Moeller's update, with strong divisibility
+    over ZZ (Lichtblau, Illinois J. Math. 56, 2012).  T_iw = lt_i and T_wl
+    divide T_il, and S_il = (T_il / T_iw) S_iw - (T_il / T_wl) S_wl, so the
+    unmade (i, l) is treated once (i, w) and (w, l) are: it is pending
+    while either is, (w, l) perhaps unmade too.  The lead of G(w, l)
+    strongly divides that of G(i, l); in the G-pair argument, i and k can
+    be taken not redundant, as a witness has its lead over m with a lead
+    coefficient dividing that of the element it replaces, so their G-pair
+    was queued.
 
     The first ``seeded`` elements added must be a Groebner basis (strong
     over ZZ), the seed, and no pair between two of them is queued: the
@@ -430,6 +443,7 @@ class _Pairs:
         self.leads = []  # (lead coefficient, lead monomial) of each element
         self.queue = []
         self.pending = set()  # queued S-pairs (i, j), i < j
+        self.witness = {}  # redundant element -> the element that made it so
         self.counter = itertools.count()
 
     def add(self, g):
@@ -439,6 +453,8 @@ class _Pairs:
         b = 1 if self.field else b
         # two seed elements make no pair: the seed treated them already
         for i, (a, mf) in enumerate(self.leads if j >= self.seeded else ()):
+            if i in self.witness:
+                continue
             lcm = monomial_lcm(mf, mg)
             lcm_key = self.key(lcm)
             if not (lcm == monomial_mul(mf, mg) and math.gcd(a, b) == 1):
@@ -446,20 +462,32 @@ class _Pairs:
                 self.pending.add((i, j))
             if b % a and a % b:
                 heapq.heappush(self.queue, (lcm_key, G_PAIR, next(self.counter), i, j, lcm))
+            if self.chain and _strongly_divides((b, mg), (a, mf)):
+                self.witness[i] = j
         self.leads.append((b, mg))
+
+    def _pending(self, i, j):
+        """Whether S-pair (i, j), i < j, is queued, or unmade and waits on a queued one."""
+        pending, witness = self.pending, self.witness
+        while witness.get(i, j) < j:  # (i, j) was never made: it waits on (i, w), (w, j)
+            if (i, witness[i]) in pending:
+                return True
+            i = witness[i]
+        return (i, j) in pending
 
     def __iter__(self):
         leads, pending = self.leads, self.pending
         while self.queue:
             _, kind, _, i, j, lcm = heapq.heappop(self.queue)
             if kind == S_PAIR:
-                pending.discard((i, j))
                 c = math.lcm(leads[i][0], leads[j][0])
-                if self.chain and any(
-                        c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
-                        and (min(i, k), max(i, k)) not in pending
-                        and (min(j, k), max(j, k)) not in pending
-                        for k, (ck, mk) in enumerate(leads)):
+                skip = self.chain and any(
+                    c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
+                    and not self._pending(min(i, k), max(i, k))
+                    and not self._pending(min(j, k), max(j, k))
+                    for k, (ck, mk) in enumerate(leads))
+                pending.discard((i, j))
+                if skip:
                     continue
             else:
                 c = math.gcd(leads[i][0], leads[j][0])

@@ -30,6 +30,8 @@ class IntegerDomain:
         return False
 
     def normalize(self, c):
+        if type(c) is int:  # skips Fraction's ABCMeta instance check
+            return c
         if isinstance(c, Fraction):
             if c.denominator != 1:
                 raise DomainError(f"{c} is not an integer")
@@ -79,11 +81,7 @@ class ModularDomain:
         return _modulus_is_prime(self.modulus)
 
     def normalize(self, c):
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise DomainError(f"{c} is not an integer")
-            c = c.numerator
-        return int(c) % self.modulus
+        return (c if type(c) is int else ZZ.normalize(c)) % self.modulus
 
     def coeff_divmod(self, c, a):
         # Residues are canonical in [0, m); a term with coefficient c is

@@ -89,8 +89,8 @@ def work(monkeypatch):
 def test_katsura3_over_zz(work):
     stats, spent = work
     basis = buchberger_z(katsura(3, ZZ), stats)
-    assert spent() == {"s_pair_z": 122, "g_pair_z": 8, "s_polynomial_field": 0,
-                    "reductions": 1739}
+    assert spent() == {"s_pair_z": 70, "g_pair_z": 6, "s_polynomial_field": 0,
+                    "reductions": 1077}
     assert len(basis) == 12
 
 
@@ -126,11 +126,12 @@ def test_cyclic4_over_f32003(work):
 
 @pytest.mark.parametrize("family, n, s_pairs, reductions, elements", [
     (katsura, 5, 66, 4029, 22),
-    (cyclic, 5, 103, 1292, 20),
+    (cyclic, 5, 101, 1248, 20),
 ], ids=["katsura5", "cyclic5"])
 def test_larger_ideals_over_f32003(work, family, n, s_pairs, reductions, elements):
     """Completion over ZZ/p runs the chain criterion: without it these took
-    147 / 14,543 and 733 / 29,742 pair polynomials / steps."""
+    147 / 14,543 and 733 / 29,742 pair polynomials / steps.  Pairing no
+    redundant element took cyclic5 from 103 / 1,292 to 101 / 1,248."""
     stats, spent = work
     basis = buchberger_field(family(n, ModularDomain(32003)), stats)
     assert spent() == {"s_pair_z": 0, "g_pair_z": 0, "s_polynomial_field": s_pairs,
@@ -141,8 +142,8 @@ def test_larger_ideals_over_f32003(work, family, n, s_pairs, reductions, element
 def test_katsura3_mod_12(work):
     stats, spent = work
     basis = gb_mod_m(katsura(3, ZZ), 12, stats)
-    assert spent() == {"s_pair_z": 78, "g_pair_z": 7, "s_polynomial_field": 0,
-                    "reductions": 802}
+    assert spent() == {"s_pair_z": 60, "g_pair_z": 7, "s_polynomial_field": 0,
+                    "reductions": 553}
     assert len(basis) == 9
 
 
@@ -151,7 +152,8 @@ def test_tail_instance_saturation(work, monkeypatch):
 
     The saturation runs at rad(s) and is seeded with the strong basis, so
     it treats no pair inside that basis: 512 / 31 / 27,511 pair
-    polynomials and steps became 207 / 22 / 5,233."""
+    polynomials and steps became 207 / 22 / 5,233, and pairing no
+    redundant element made them 136 / 17 / 3,672."""
     ring_ = ring(("z", "y", "x"), DegRevLex(), ZZ)
     gens = [parse_polynomial(text, ring_)
             for text in ("6y^3+7y", "-4y^3+zy-2x", "6z^2yx+5z^2y-4y^2x")]
@@ -167,18 +169,18 @@ def test_tail_instance_saturation(work, monkeypatch):
 
     monkeypatch.setattr(torsion, "_contract", counting_contract)
     report = torsion_exponent(gens, stats)
-    assert saturation == {"s_pair_z": 207, "g_pair_z": 22, "s_polynomial_field": 0,
-                          "reductions": 5233}
-    assert spent() == {"s_pair_z": 435, "g_pair_z": 40, "s_polynomial_field": 0,
-                    "reductions": 7699}
-    # every step: 7,699 completing, 47 reducing the two bases and 167
+    assert saturation == {"s_pair_z": 136, "g_pair_z": 17, "s_polynomial_field": 0,
+                          "reductions": 3672}
+    assert spent() == {"s_pair_z": 258, "g_pair_z": 33, "s_polynomial_field": 0,
+                    "reductions": 5103}
+    # every step: 5,103 completing, 47 reducing the two bases and 167
     # finding the 13 multipliers, which draw on the same budget
-    assert stats.steps == 7699 + 47 + 167
+    assert stats.steps == 5103 + 47 + 167
     assert report.exponent == 2 and len(report.saturation_basis) == 13
 
 
-KATSURA3_ZZ_PAIRS = 122 + 8  # the pinned pair polynomials of katsura3 over ZZ
-KATSURA3_ZZ_STEPS = 1739  # its pinned completion steps, before the basis reduction
+KATSURA3_ZZ_PAIRS = 70 + 6  # the pinned pair polynomials of katsura3 over ZZ
+KATSURA3_ZZ_STEPS = 1077  # its pinned completion steps, before the basis reduction
 
 
 def test_pair_budget_counts_only_built_pairs():
@@ -203,12 +205,12 @@ def test_one_run_stats_bounds_the_calls_that_share_it():
         call(shared)
     assert (shared.pairs, shared.reductions, shared.steps) == tuple(map(sum, zip(*alone)))
     limits = Limits(max_pairs=KATSURA3_ZZ_PAIRS)  # enough for either call alone
-    assert [pairs for pairs, _, _ in alone] == [KATSURA3_ZZ_PAIRS, 47]
+    assert [pairs for pairs, _, _ in alone] == [KATSURA3_ZZ_PAIRS, 40]
     for call in calls + calls:
         call(limits)
     shared = RunStats(limits)
     calls[0](shared)
-    with pytest.raises(ResourceLimitExceeded, match=r"^pair budget exhausted \(130\)"):
+    with pytest.raises(ResourceLimitExceeded, match=r"^pair budget exhausted \(76\)"):
         calls[1](shared)
 
 
@@ -241,6 +243,29 @@ def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_pairs):
     assert report.condition2 and report.condition3
 
 
+def test_arnold_conditions_charge_every_step(monkeypatch):
+    """Conditions 1 and 3 reduce against bases outside any completion, and
+    those steps draw on the shared ``RunStats`` too: on homogenized cyclic4
+    at p = 32003, 53 steps complete and check, and 21 decide 1 and 3."""
+    i_gens = homogenize_ideal(cyclic(4, ZZ))
+    g_set = integer_scaled_basis(i_gens)
+    reduce = groebner._reduce
+    uncharged = []
+
+    def spying_reduce(f, reducers, step=None, pseudo=False):
+        if step is None:
+            uncharged.append(f)
+        return reduce(f, reducers, step, pseudo)
+
+    monkeypatch.setattr(groebner, "_reduce", spying_reduce)
+    stats = RunStats()
+    assert arnold_conditions(i_gens, g_set, 32003, stats).verdict == arnold.VERIFIED
+    assert (stats.reductions, stats.steps, uncharged) == (53, 53 + 21, [])
+    arnold_conditions(i_gens, g_set, 32003, RunStats(Limits(max_reductions=74)))
+    with pytest.raises(ResourceLimitExceeded):
+        arnold_conditions(i_gens, g_set, 32003, RunStats(Limits(max_reductions=73)))
+
+
 def test_reduction_budget_bounds_canonicalization():
     """The basis reduction after completion charges the completion's budget:
     katsura3 over ZZ reduces its basis in 12 more steps."""
@@ -265,12 +290,12 @@ CERTIFY_PREFIXES = {
 
 
 @pytest.mark.parametrize("instance, exponent, s_pairs, g_pairs, reductions", [
-    ("053", 2, 207, 22, 5233),
-    ("024", 296352, 603, 29, 2737),
-    ("074", 2744, 359, 24, 786),
-    ("119", 16, 139, 10, 737),
-    ("166", 108, 64, 6, 139),
-], ids=lambda v: v if isinstance(v, str) else None)
+    ("053", 2, 136, 17, 3672),
+    ("024", 296352, 378, 29, 1866),
+    ("074", 2744, 176, 20, 508),
+    ("119", 16, 111, 11, 639),
+    ("166", 108, 50, 6, 107),
+], ids=["053", "024", "074", "119", "166"])
 def test_certify_saturation_work(work, instance, exponent, s_pairs, g_pairs, reductions):
     """The saturation in a certificate is seeded with the strong basis and
     runs at rad(s): its pair polynomials and steps are pinned here, so a

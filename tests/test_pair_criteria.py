@@ -7,9 +7,11 @@ are canonical, so ``buchberger_z``, ``gb_mod_m``, ``buchberger_field``
 over ZZ/p and the saturation basis of ``torsion_exponent`` must return
 the same elements whether the engine skips pairs by a criterion or builds
 every one, in Lex, DegRevLex and Block orders, and each result must pass
-``is_groebner_basis``.
+``is_groebner_basis``.  The engine also pairs no element whose lead term a
+later one strongly divides; the last tests run only where that happens.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
@@ -35,6 +37,7 @@ from modgrob import (
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import change_domain, ring, with_domain
 from reference import criteria_free_complete
+from test_pair_counts import katsura
 
 # The reference builds every pair, so the budget keeps a rare blow-up short.
 BUDGET = Limits(max_pairs=1500)
@@ -54,8 +57,8 @@ def zz_ideals(draw):
     return gens
 
 
-def _ideal(order, *texts):
-    ring_ = ring(sts.VARIABLES[3], order, ZZ)
+def _ideal(order, *texts, arity=3):
+    ring_ = ring(sts.VARIABLES[arity], order, ZZ)
     return [parse_polynomial(text, ring_) for text in texts]
 
 
@@ -125,3 +128,66 @@ def test_prime_field_basis_matches_reference(gens, p):
     expected, basis = _both(lambda: buchberger_field(images, BUDGET, ring=ring_))
     assert basis.elements == expected.elements
     assert is_groebner_basis(basis.elements)
+
+
+@contextmanager
+def _redundancy():
+    """Yields a list that gets one entry per element added inside: whether
+    some element was redundant by then, so that the pairs it would make
+    with later elements went unmade.  The reference engine makes every pair."""
+    seen = []
+    add = groebner._Pairs.add
+
+    def spying_add(pairs, g):
+        add(pairs, g)
+        seen.append(bool(pairs.witness))
+
+    with mock.patch.object(groebner._Pairs, "add", spying_add):
+        yield seen
+
+
+def test_katsura2_mod_8_keeps_u1():
+    """A pair never made waits on the pairs of its witness, and the popped
+    pair waits on its own chain test.  Treating either as done skips a
+    needed pair here, and the basis gets 2*u1 in place of u1."""
+    with _redundancy() as seen:
+        expected, basis = _both(lambda: gb_mod_m(katsura(2, ZZ), 8))
+    assert any(seen)
+    assert basis.elements == expected.elements
+    assert parse_polynomial("u1", basis.ring) in basis.elements
+
+
+# Minimal ideals Hypothesis found, over ZZ and mod 4, on which either wrong
+# pending rule loses a basis element: counting a pair never made as done,
+# or no longer counting the popped pair as pending in its own chain test.
+REDUNDANCY_TRAPS = [
+    _ideal(Lex(), "2x^2+1", "x^2+x", arity=1),
+    _ideal(Lex(), "4x+1", "x", arity=1),
+]
+
+
+@given(zz_ideals(), st.sampled_from([0, 2, 3, 4, 8, 12, 32003]))
+@example(REDUNDANCY_TRAPS[0], 0)
+@example(REDUNDANCY_TRAPS[1], 4)
+@settings(max_examples=300, deadline=None)
+def test_redundant_elements_match_reference(gens, m):
+    """Over ZZ (m = 0), ZZ/p and ZZ/m, where some element became redundant."""
+    prime = m in (2, 3, 32003)
+    if prime:
+        ring_ = with_domain(gens[0].ring, ModularDomain(m))
+        images = [change_domain(g, ring_.domain) for g in gens]
+
+        def compute():
+            return buchberger_field(images, BUDGET, ring=ring_)
+    elif m:
+        def compute():
+            return gb_mod_m(gens, m, BUDGET)
+    else:
+        def compute():
+            return buchberger_z(gens, BUDGET)
+    with _redundancy() as seen:
+        expected, basis = _both(compute)
+    assume(any(seen))
+    assert basis.elements == expected.elements
+    if prime or not m:
+        assert is_groebner_basis(basis.elements)

@@ -145,6 +145,19 @@ def test_modular_scaling():
     assert 3 * f == parse_polynomial("3x", ring6)
 
 
+@pytest.mark.parametrize("c, over_zz, mod_6", [
+    (8, 8, 2), (-7, -7, 5), (True, 1, 1), (Fraction(-9, 1), -9, 3), (2.0, 2, 2),
+], ids=["int", "negative", "bool", "integral-fraction", "float"])
+def test_integer_normalize_returns_exact_ints(c, over_zz, mod_6):
+    """Plain ints take a fast path; every other integral value gives the same."""
+    for domain, expected in ((ZZ, over_zz), (ModularDomain(6), mod_6)):
+        value = domain.normalize(c)
+        assert (type(value), value) == (int, expected)
+    for domain in (ZZ, ModularDomain(6)):
+        with pytest.raises(DomainError):
+            domain.normalize(Fraction(1, 2))
+
+
 def test_ring_mismatch_rejected():
     with pytest.raises(RingMismatch):
         P("x") + parse_polynomial("x", R2Q)
