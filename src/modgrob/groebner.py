@@ -33,19 +33,17 @@ from .polyring import (
     Polynomial,
     RationalDomain,
     RingDescriptor,
+    _combine,
     change_domain,
     leading_coefficient,
     leading_monomial,
     leading_term,
     monic,
-    monomial_div,
     monomial_divides,
     monomial_key,
     monomial_lcm,
     monomial_mul,
     poly_scale,
-    poly_sub,
-    term_mul,
     with_domain,
 )
 
@@ -93,19 +91,16 @@ class RunStats:
                 "raise --max-pairs if this is intended")
 
     def reduction(self):
+        """A completion step: reducing a generator or a pair."""
         self.reductions += 1
+        self.step()
+
+    def step(self):
+        """A reduction step, in completion or outside it."""
         self.steps += 1
         if self.steps > self.limits.max_reductions:
             raise ResourceLimitExceeded(
                 f"reduction budget exhausted ({self.limits.max_reductions})")
-
-    def step(self):
-        """A step outside completion: the basis reduction's, a multiplier's."""
-        self.steps += 1
-        if self.steps > self.limits.max_reductions:
-            raise ResourceLimitExceeded(
-                f"reduction budget exhausted ({self.limits.max_reductions}) "
-                "while reducing the basis")
 
 
 def _run_stats(limits):
@@ -256,6 +251,14 @@ def ideal_member(f, basis):
 # ---------------------------------------------------------------------------
 # pair polynomials
 
+def _pair_polynomial(f, u, g, v):
+    """u * (lcm / lm(f)) * f + v * (lcm / lm(g)) * g, lcm that of the lead monomials."""
+    mf, mg = leading_monomial(f), leading_monomial(g)
+    lcm = monomial_lcm(mf, mg)
+    parts = ((f, u, tuple(map(sub, lcm, mf))), (g, v, tuple(map(sub, lcm, mg))))
+    return _combine(f.ring, parts)
+
+
 def s_polynomial_field(f, g):
     """(lcm / lt(f)) * f - (lcm / lt(g)) * g; the leading terms cancel."""
     if f.is_zero or g.is_zero:
@@ -263,37 +266,26 @@ def s_polynomial_field(f, g):
     dom = f.ring.domain
     if not dom.is_field:
         raise DomainError("s_polynomial_field needs a field domain")
-    cf, mf = leading_term(f)
-    cg, mg = leading_term(g)
-    lcm = monomial_lcm(mf, mg)
     # over a field, 1 divided by a lead coefficient is its inverse
-    return poly_sub(term_mul(f, dom.coeff_divmod(1, cf)[0], monomial_div(lcm, mf)),
-                    term_mul(g, dom.coeff_divmod(1, cg)[0], monomial_div(lcm, mg)))
+    return _pair_polynomial(f, dom.coeff_divmod(1, leading_coefficient(f))[0],
+                            g, -dom.coeff_divmod(1, leading_coefficient(g))[0])
 
 
 def s_pair_z(f, g):
     """Integer S-combination: scale both sides to lcm of the lead coefficients."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("s-pair of a zero polynomial")
-    a, mf = leading_term(f)
-    b, mg = leading_term(g)
-    lcm = monomial_lcm(mf, mg)
+    a, b = leading_coefficient(f), leading_coefficient(g)
     c = math.lcm(a, b)
-    return poly_sub(term_mul(f, c // a, monomial_div(lcm, mf)),
-                    term_mul(g, c // b, monomial_div(lcm, mg)))
+    return _pair_polynomial(f, c // a, g, -(c // b))
 
 
 def g_pair_z(f, g):
     """Bezout combination whose leading term is gcd(lc f, lc g) on the lcm."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("g-pair of a zero polynomial")
-    a, mf = leading_term(f)
-    b, mg = leading_term(g)
-    lcm = monomial_lcm(mf, mg)
-    _, u, v = ext_gcd(a, b)
-    left = term_mul(f, u, monomial_div(lcm, mf))
-    right = term_mul(g, v, monomial_div(lcm, mg))
-    return left + right
+    _, u, v = ext_gcd(leading_coefficient(f), leading_coefficient(g))
+    return _pair_polynomial(f, u, g, v)
 
 
 # ---------------------------------------------------------------------------

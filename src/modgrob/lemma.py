@@ -9,7 +9,7 @@ ZZ[X]/J.  The functions here run that check and drive it over a stream.
 
 from dataclasses import dataclass
 
-from .errors import OracleFailure, StreamExhausted
+from .errors import OracleFailure, ResourceLimitExceeded, StreamExhausted
 from .groebner import (
     GroebnerBasis,
     _extend_mod_m,
@@ -84,6 +84,8 @@ class Certificate:
 def _oracle_answer(oracle, expected_ring, modulus=None):
     try:
         answer = oracle.basis_over_q() if modulus is None else oracle.basis_mod(modulus)
+    except ResourceLimitExceeded:  # the command's budget, not an oracle fault
+        raise
     except Exception as exc:  # noqa: BLE001 - oracle is caller-supplied
         raise OracleFailure(f"oracle raised: {exc}") from exc
     if not isinstance(answer, GroebnerBasis) or not answer.reduced:

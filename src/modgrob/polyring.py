@@ -276,44 +276,14 @@ def _same_ring(f, g):
 
 def poly_add(f, g):
     _same_ring(f, g)
-    key = monomial_key(f.ring.order)
-    normalize = f.ring.domain.normalize
-    out = []
-    ft, gt = f.terms, g.terms
-    nf, ng = len(ft), len(gt)
-    i = j = 0
-    # Order keys are injective, so equal keys mean equal monomials.
-    if nf and ng:
-        kf, kg = key(ft[0][1]), key(gt[0][1])
-        while True:
-            if kf > kg:
-                out.append(ft[i])
-                i += 1
-                if i == nf:
-                    break
-                kf = key(ft[i][1])
-            elif kf < kg:
-                out.append(gt[j])
-                j += 1
-                if j == ng:
-                    break
-                kg = key(gt[j][1])
-            else:
-                c = normalize(ft[i][0] + gt[j][0])
-                if c != 0:
-                    out.append((c, ft[i][1]))
-                i += 1
-                j += 1
-                if i == nf or j == ng:
-                    break
-                kf, kg = key(ft[i][1]), key(gt[j][1])
-    out.extend(ft[i:])
-    out.extend(gt[j:])
-    return Polynomial(f.ring, tuple(out))
+    one = f.ring.one_monomial()
+    return _combine(f.ring, ((f, 1, one), (g, 1, one)))
 
 
 def poly_sub(f, g):
-    return poly_add(f, poly_scale(g, -1))
+    _same_ring(f, g)
+    one = f.ring.one_monomial()
+    return _combine(f.ring, ((f, 1, one), (g, -1, one)))
 
 
 def poly_scale(f, c):
@@ -329,20 +299,6 @@ def poly_scale(f, c):
     return Polynomial(f.ring, tuple(out))
 
 
-def term_mul(f, c, mono):
-    """f * (c * x^mono); term order is multiplicative so no re-sort needed."""
-    dom = f.ring.domain
-    c = dom.normalize(c)
-    if c == 0:
-        return Polynomial.zero(f.ring)
-    out = []
-    for cf, m in f.terms:
-        v = dom.normalize(cf * c)
-        if v != 0:
-            out.append((v, monomial_mul(m, mono)))
-    return Polynomial(f.ring, tuple(out))
-
-
 def _from_sums(ring_, sums):
     """The Polynomial of a dict monomial -> coefficient: normalized, sorted once."""
     normalize = ring_.domain.normalize
@@ -352,6 +308,17 @@ def _from_sums(ring_, sums):
         if c != 0:
             terms.append((c, mono))
     return Polynomial(ring_, tuple(terms))
+
+
+def _combine(ring_, parts):
+    """The sum of c * x^shift * f over the (f, c, shift) in ``parts``,
+    gathered in one monomial -> coefficient dict and sorted once."""
+    acc = {}
+    for f, c, shift in parts:
+        for cf, mono in f.terms:
+            mono = tuple(map(add, mono, shift))
+            acc[mono] = acc.get(mono, 0) + c * cf
+    return _from_sums(ring_, acc)
 
 
 def _term_products(f, g):

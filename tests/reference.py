@@ -24,6 +24,13 @@ are renamed by what they specify:
   skipped pairs, reducing every S-pair and G-pair (``test_groebner_check``);
 - ``reference_contract``: ``torsion._contract`` when it saturated at s
   with an unseeded completion (``test_seeded_completion``);
+- ``merge_poly_add``, ``merge_poly_sub``, ``merge_term_mul``,
+  ``merge_s_polynomial_field``, ``merge_s_pair_z`` and ``merge_g_pair_z``:
+  sums, differences and pair polynomials when ``poly_add`` merged two
+  sorted term lists with two pointers, ``poly_sub`` negated with
+  ``poly_scale`` first and each pair polynomial built both multiples with
+  ``term_mul`` (``test_pair_polynomials``); the G-pair's ``left + right``
+  reads ``merge_poly_add(left, right)``;
 - ``reference_tokenize``, ``reference_split_variable_factors``,
   ``reference_PolyParser`` and ``reference_parse_problem``: the parser
   when it scanned characters one by one and built every constant,
@@ -39,12 +46,14 @@ from operator import add, le, neg, sub
 
 from modgrob import (
     Block,
+    DomainError,
     Lex,
     ModularDomain,
     ParseError,
     Polynomial,
     ResourceLimitExceeded,
     RingDescriptor,
+    ZeroPolynomial,
     buchberger_z,
     normal_form,
 )
@@ -59,6 +68,7 @@ from modgrob.groebner import (
     _run_stats,
     _strongly_divides,
 )
+from modgrob.intarith import ext_gcd
 from modgrob.parser import (
     _MAX_NESTING,
     _MAX_POWER_BITS,
@@ -72,6 +82,7 @@ from modgrob.parser import (
 from modgrob.polyring import (
     _MAX_EXPONENT,
     RationalDomain,
+    _same_ring,
     drop_variable,
     fresh_variable_name,
     inject_variable,
@@ -83,6 +94,7 @@ from modgrob.polyring import (
     monomial_key,
     monomial_lcm,
     monomial_mul,
+    poly_scale,
 )
 
 
@@ -765,3 +777,99 @@ def reference_parse_problem(text, reader_class=reference_PolyParser):
         raise ParseError("the file declares no ring", 1, 1)
     return ProblemFile(ring=reader.ring, ideals=ideals, stream=stream,
                        oracle_polys=oracle_polys)
+
+
+def merge_poly_add(f, g):
+    _same_ring(f, g)
+    key = monomial_key(f.ring.order)
+    normalize = f.ring.domain.normalize
+    out = []
+    ft, gt = f.terms, g.terms
+    nf, ng = len(ft), len(gt)
+    i = j = 0
+    # Order keys are injective, so equal keys mean equal monomials.
+    if nf and ng:
+        kf, kg = key(ft[0][1]), key(gt[0][1])
+        while True:
+            if kf > kg:
+                out.append(ft[i])
+                i += 1
+                if i == nf:
+                    break
+                kf = key(ft[i][1])
+            elif kf < kg:
+                out.append(gt[j])
+                j += 1
+                if j == ng:
+                    break
+                kg = key(gt[j][1])
+            else:
+                c = normalize(ft[i][0] + gt[j][0])
+                if c != 0:
+                    out.append((c, ft[i][1]))
+                i += 1
+                j += 1
+                if i == nf or j == ng:
+                    break
+                kf, kg = key(ft[i][1]), key(gt[j][1])
+    out.extend(ft[i:])
+    out.extend(gt[j:])
+    return Polynomial(f.ring, tuple(out))
+
+
+def merge_poly_sub(f, g):
+    return merge_poly_add(f, poly_scale(g, -1))
+
+
+def merge_term_mul(f, c, mono):
+    """f * (c * x^mono); term order is multiplicative so no re-sort needed."""
+    dom = f.ring.domain
+    c = dom.normalize(c)
+    if c == 0:
+        return Polynomial.zero(f.ring)
+    out = []
+    for cf, m in f.terms:
+        v = dom.normalize(cf * c)
+        if v != 0:
+            out.append((v, monomial_mul(m, mono)))
+    return Polynomial(f.ring, tuple(out))
+
+
+def merge_s_polynomial_field(f, g):
+    """(lcm / lt(f)) * f - (lcm / lt(g)) * g; the leading terms cancel."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomial("s-polynomial of a zero polynomial")
+    dom = f.ring.domain
+    if not dom.is_field:
+        raise DomainError("s_polynomial_field needs a field domain")
+    cf, mf = leading_term(f)
+    cg, mg = leading_term(g)
+    lcm = monomial_lcm(mf, mg)
+    # over a field, 1 divided by a lead coefficient is its inverse
+    return merge_poly_sub(merge_term_mul(f, dom.coeff_divmod(1, cf)[0], monomial_div(lcm, mf)),
+                          merge_term_mul(g, dom.coeff_divmod(1, cg)[0], monomial_div(lcm, mg)))
+
+
+def merge_s_pair_z(f, g):
+    """Integer S-combination: scale both sides to lcm of the lead coefficients."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomial("s-pair of a zero polynomial")
+    a, mf = leading_term(f)
+    b, mg = leading_term(g)
+    lcm = monomial_lcm(mf, mg)
+    c = math.lcm(a, b)
+    return merge_poly_sub(merge_term_mul(f, c // a, monomial_div(lcm, mf)),
+                          merge_term_mul(g, c // b, monomial_div(lcm, mg)))
+
+
+def merge_g_pair_z(f, g):
+    """Bezout combination whose leading term is gcd(lc f, lc g) on the lcm."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomial("g-pair of a zero polynomial")
+    a, mf = leading_term(f)
+    b, mg = leading_term(g)
+    lcm = monomial_lcm(mf, mg)
+    _, u, v = ext_gcd(a, b)
+    left = merge_term_mul(f, u, monomial_div(lcm, mf))
+    right = merge_term_mul(g, v, monomial_div(lcm, mg))
+    return merge_poly_add(left, right)

@@ -260,6 +260,15 @@ def test_max_pairs_bounds_the_whole_command(capsys, command, file, spent):
                    "raise --max-pairs if this is intended\n")
 
 
+def test_budget_spent_in_the_oracle_is_a_resource_limit(capsys):
+    """With 3 pairs, solve-p on solve_p_demo runs out inside the oracle; a
+    budget exhausted there is the command's resource limit too."""
+    code, out, err = run(capsys, "solve-p", CORPUS / "solve_p_demo.mg", "--max-pairs", "3")
+    assert (code, out) == (2, "")
+    assert err == ("resource limit: pair budget exhausted (3); "
+                   "raise --max-pairs if this is intended\n")
+
+
 def test_negative_max_pairs_is_usage_error(tmp_path, capsys):
     path = tmp_path / "one.mg"
     path.write_text("ring r = ZZ, (x), lp; ideal I = 2x;\n")

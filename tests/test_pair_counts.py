@@ -262,7 +262,7 @@ def test_arnold_conditions_charge_every_step(monkeypatch):
     assert arnold_conditions(i_gens, g_set, 32003, stats).verdict == arnold.VERIFIED
     assert (stats.reductions, stats.steps, uncharged) == (53, 53 + 21, [])
     arnold_conditions(i_gens, g_set, 32003, RunStats(Limits(max_reductions=74)))
-    with pytest.raises(ResourceLimitExceeded):
+    with pytest.raises(ResourceLimitExceeded, match=r"^reduction budget exhausted \(73\)$"):
         arnold_conditions(i_gens, g_set, 32003, RunStats(Limits(max_reductions=73)))
 
 
