@@ -23,7 +23,6 @@ from .errors import (
 from .formatting import format_basis
 from .groebner import (
     GroebnerBasis,
-    Limits,
     RunStats,
     buchberger_field,
     buchberger_z,
@@ -77,7 +76,7 @@ __all__ = [
     "ArnoldReport", "arnold_conditions", "homogenize_ideal", "DomainError",
     "InvalidLimit", "ModGrobError", "NonMember", "NotCoprime", "OracleFailure",
     "ParseError", "ResourceLimitExceeded", "RingMismatch", "StreamExhausted",
-    "ZeroPolynomial", "format_basis", "GroebnerBasis", "Limits", "RunStats",
+    "ZeroPolynomial", "format_basis", "GroebnerBasis", "RunStats",
     "buchberger_field", "buchberger_z", "g_pair_z", "gb_equal", "gb_mod_m",
     "ideal_member", "is_groebner_basis", "normal_form", "s_pair_z",
     "s_polynomial_field", "crt_coefficients", "ext_gcd", "factorize",

@@ -80,8 +80,8 @@ def arnold_conditions(i_gens, g_set, p, limits=None):
 
     The verdict is Verified only when all four hold AND every input
     polynomial is homogeneous; otherwise ConditionFailed with the list of
-    failing conditions, or InapplicableNonHomogeneous.  ``limits`` bounds
-    all the verifier's work, together if it is a ``RunStats``.
+    failing conditions, or InapplicableNonHomogeneous.  A ``RunStats`` as
+    ``limits`` bounds all the verifier's work; ``None`` gives each call a fresh one.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

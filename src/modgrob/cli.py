@@ -13,7 +13,7 @@ from pathlib import Path
 from . import formatting
 from .arnold import VERIFIED, arnold_conditions
 from .errors import ModGrobError, ParseError, ResourceLimitExceeded, StreamExhausted
-from .groebner import Limits, RunStats, buchberger_field, buchberger_z, gb_mod_m
+from .groebner import RunStats, buchberger_field, buchberger_z, gb_mod_m
 from .lemma import IdealOracle, main_lemma_check, solve_problem_p
 from .parser import parse_domain_text, parse_order_text, parse_problem
 from .polyring import (
@@ -73,7 +73,7 @@ def _ideal(problem, name, ring_):
 
 def _limits(args):
     """The command's one budget, which every call it makes draws on."""
-    return RunStats(Limits(args.max_pairs))
+    return RunStats(args.max_pairs)
 
 
 def _show(args, value, human, machine):
@@ -188,7 +188,7 @@ _FLAGS = {
     "--mod": dict(type=int, help="the prime p"),
     "--stream": dict(help="ideal section to use as the generator stream"),
     "--oracle": dict(help="ideal section name or problem file for the oracle"),
-    "--max-pairs": dict(type=int, dest="max_pairs", default=Limits.max_pairs,
+    "--max-pairs": dict(type=int, dest="max_pairs", default=RunStats().max_pairs,
                         help="pair budget of the whole command, oracle included "
                              "(default %(default)s)"),
     "--json": dict(action="store_true", help="line-oriented machine-readable output"),

@@ -39,11 +39,11 @@ class OracleFailure(ModGrobError):
 
 
 class InvalidLimit(ModGrobError):
-    """A ``Limits`` budget (``--max-pairs``, the whole command's) is negative."""
+    """A ``RunStats`` cap (``--max-pairs``, the whole command's) is negative."""
 
 
 class ResourceLimitExceeded(ModGrobError):
-    """A run spent more pairs or steps than its ``Limits`` or ``RunStats`` allow."""
+    """A run spent more pairs or steps than its ``RunStats`` allows."""
 
 
 class ParseError(ModGrobError):

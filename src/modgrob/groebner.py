@@ -51,43 +51,32 @@ S_PAIR = 0
 G_PAIR = 1
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Budget of a run; exceeding it raises instead of spinning.
-
-    The pair budget is the primary guard; the reduction budget is a wide
-    backstop (elimination orders legitimately burn millions of steps).
-    Only built pairs count: one a criterion skips is free.  A ``Limits``
-    bounds each completion afresh, a ``RunStats`` all the calls given it.
-    """
-
-    max_pairs: int = 50_000
-    max_reductions: int = 50_000_000
-
-    def __post_init__(self):
-        if self.max_pairs < 0:
-            raise InvalidLimit(f"pair budget must be >= 0, got {self.max_pairs}")
-        if self.max_reductions < 0:
-            raise InvalidLimit(f"reduction budget must be >= 0, got {self.max_reductions}")
-
-
 class RunStats:
-    """The work of a run against the ``Limits`` it holds: pair polynomials
-    built, completion ``reductions`` (steps reducing a generator or a pair)
-    and all reduction ``steps``, which ``max_reductions`` bounds.  Every
-    call given one ``RunStats`` as ``limits`` draws on it."""
+    """The one budget of a run, and the work drawn on it: pair polynomials
+    built (``pairs``), completion ``reductions`` (steps reducing a generator
+    or a pair) and all reduction ``steps``.  ``max_pairs`` is the primary
+    guard; ``max_reductions`` bounds ``steps``, a wide backstop (elimination
+    orders legitimately burn millions of steps).  Only built pairs count:
+    one a criterion skips is free.  Every call given one ``RunStats`` as
+    ``limits`` draws on it; with ``None``, each completion, normal form and
+    multiplier search draws on a fresh default one."""
 
-    __slots__ = ("limits", "pairs", "reductions", "steps")
+    __slots__ = ("max_pairs", "max_reductions", "pairs", "reductions", "steps")
 
-    def __init__(self, limits=None):
-        self.limits = limits or Limits()
+    def __init__(self, max_pairs=50_000, max_reductions=50_000_000):
+        if max_pairs < 0:
+            raise InvalidLimit(f"pair budget must be >= 0, got {max_pairs}")
+        if max_reductions < 0:
+            raise InvalidLimit(f"reduction budget must be >= 0, got {max_reductions}")
+        self.max_pairs = max_pairs
+        self.max_reductions = max_reductions
         self.pairs = self.reductions = self.steps = 0
 
     def pair(self):
         self.pairs += 1
-        if self.pairs > self.limits.max_pairs:
+        if self.pairs > self.max_pairs:
             raise ResourceLimitExceeded(
-                f"pair budget exhausted ({self.limits.max_pairs}); "
+                f"pair budget exhausted ({self.max_pairs}); "
                 "raise --max-pairs if this is intended")
 
     def reduction(self):
@@ -98,14 +87,9 @@ class RunStats:
     def step(self):
         """A reduction step, in completion or outside it."""
         self.steps += 1
-        if self.steps > self.limits.max_reductions:
+        if self.steps > self.max_reductions:
             raise ResourceLimitExceeded(
-                f"reduction budget exhausted ({self.limits.max_reductions})")
-
-
-def _run_stats(limits):
-    """``limits`` if it is a ``RunStats``, else a fresh one bounded by it."""
-    return limits if isinstance(limits, RunStats) else RunStats(limits)
+                f"reduction budget exhausted ({self.max_reductions})")
 
 
 @dataclass(frozen=True)
@@ -134,7 +118,7 @@ def _check_reducers(f, reducers):
             raise ZeroPolynomial("zero polynomial in reducer list")
 
 
-def _reduce(f, reducers, step=None, pseudo=False):
+def _reduce(f, reducers, step, pseudo=False):
     """Shared division loop; deterministic: first eligible reducer wins.
 
     Returns (multiplier, remainder): multiplier * f - remainder is a
@@ -148,7 +132,7 @@ def _reduce(f, reducers, step=None, pseudo=False):
     remainder so far are scaled by gc/gcd(c, gc), so the lead term cancels
     over ZZ.  Each step is the QQ step up to a nonzero rational factor.
     The multiplier is the product of these scales, 1 without ``pseudo``;
-    ``step``, if given, is called once per step.
+    ``step`` is called once per step.
 
     The current largest monomial comes from a lazy max-heap (entries whose
     monomial dropped out of the working dict are skipped on pop).  Each
@@ -193,8 +177,7 @@ def _reduce(f, reducers, step=None, pseudo=False):
                 q, _ = coeff_divmod(c, gc)
                 if q == 0:
                     continue
-            if step is not None:
-                step()
+            step()
             # The lead term lands on mono itself, every other term below it.
             c -= q * gc
             shift = tuple(map(sub, mono, gm))
@@ -237,10 +220,10 @@ def _reduce(f, reducers, step=None, pseudo=False):
 
 def normal_form(f, basis, limits=None):
     """Fully reduce f against a list of polynomials (or a GroebnerBasis),
-    charging each step to ``limits``, if given, as a step outside completion."""
+    charging each step to ``limits`` or a fresh ``RunStats`` as a step outside completion."""
     reducers = list(basis)
     _check_reducers(f, reducers)
-    return _reduce(f, reducers, None if limits is None else _run_stats(limits).step)[1]
+    return _reduce(f, reducers, (limits or RunStats()).step)[1]
 
 
 def ideal_member(f, basis):
@@ -428,7 +411,7 @@ class _Pairs:
     def __init__(self, ring_, limits, chain, seeded=0):
         self.field = ring_.domain.is_field
         self.key = monomial_key(ring_.order)
-        self.stats = _run_stats(limits)
+        self.stats = limits or RunStats()
         self.chain = chain
         self.seeded = seeded
         self.elements = []

@@ -145,7 +145,8 @@ def is_prime(n):
 
 
 def _pollard_rho(n):
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """One nontrivial factor of composite odd n (Floyd's cycle detection:
+    x takes one step of x^2 + c per round, y two)."""
     if n % 2 == 0:
         return 2
     c = 1

@@ -30,13 +30,11 @@ class IntegerDomain:
         return False
 
     def normalize(self, c):
-        if type(c) is int:  # skips Fraction's ABCMeta instance check
+        if type(c) is int:
             return c
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise DomainError(f"{c} is not an integer")
+        if getattr(c, "denominator", None) == 1:
             return c.numerator
-        return int(c)
+        raise DomainError(f"{c} is not an integer")
 
     def coeff_divmod(self, c, a):
         # c = q*a + r with the canonical residue 0 <= r < |a|.
@@ -215,6 +213,8 @@ class Polynomial:
             mono = tuple(mono)
             if len(mono) != ring_.arity:
                 raise ValueError(f"monomial {mono} has wrong arity for {ring_.variables}")
+            if any(type(e) is not int for e in mono):
+                raise ValueError(f"exponent not an integer in {mono}")
             if any(e < 0 or e > _MAX_EXPONENT for e in mono):
                 raise ValueError(f"exponent out of range in {mono}")
             acc[mono] = acc.get(mono, 0) + c

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import groebner
 from .errors import DomainError, NonMember
-from .groebner import _check_reducers, _reduce, _run_stats, buchberger_z
+from .groebner import RunStats, _check_reducers, _reduce, buchberger_z
 from .intarith import factorize
 from .polyring import (
     Block,
@@ -79,13 +79,13 @@ def minimal_multiplier(g, j_basis_z, limits=None):
     multiplier k0 for which k0 * g is an integer combination of the basis,
     hence in J.  The valid multipliers form an ideal of ZZ, so stripping
     primes of k0 while membership holds reaches the minimum.  Steps are
-    charged to ``limits`` as steps outside completion.
+    charged to ``limits`` or a fresh ``RunStats`` as steps outside completion.
     """
     reducers = list(j_basis_z)
     _check_reducers(g, reducers)
     if not isinstance(g.ring.domain, IntegerDomain):
         raise DomainError("minimal multipliers work over ZZ")
-    step = _run_stats(limits).step
+    step = (limits or RunStats()).step
     k, remainder = _reduce(g, reducers, step, pseudo=True)
     if not remainder.is_zero:
         raise NonMember(f"{g} is not in the rational span of the basis")

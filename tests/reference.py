@@ -53,6 +53,7 @@ from modgrob import (
     Polynomial,
     ResourceLimitExceeded,
     RingDescriptor,
+    RunStats,
     ZeroPolynomial,
     buchberger_z,
     normal_form,
@@ -65,7 +66,6 @@ from modgrob.groebner import (
     _domain_rules,
     _poly_sort_key,
     _reduce,
-    _run_stats,
     _strongly_divides,
 )
 from modgrob.intarith import ext_gcd
@@ -325,7 +325,7 @@ def fraction_complete(gens, ring_, limits):
     """
     normalize, pair_functions = _domain_rules(ring_)
     criteria = not ring_.domain.is_field
-    budget = _run_stats(limits)
+    budget = limits or RunStats()
     key = monomial_key(ring_.order)
     G = []
     leads = []  # (lead coefficient, lead monomial) of each element of G
@@ -415,7 +415,7 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
     builds the pairs of a seed too.
     """
     normalize, pair_functions = _domain_rules(ring_)
-    budget = _run_stats(limits)
+    budget = limits or RunStats()
     key = monomial_key(ring_.order)
     G = []
     view = _ReducerView(key)

@@ -3,6 +3,7 @@ all-pairs form of the verifier."""
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from modgrob import (
     QQ,
-    Limits,
     ResourceLimitExceeded,
     RunStats,
     ZeroPolynomial,
@@ -220,7 +220,7 @@ def reference_arnold_conditions(i_gens, g_set, p, limits=None):
                         failed_conditions=failed)
 
 
-BUDGET = Limits(max_pairs=300)
+BUDGET = partial(RunStats, max_pairs=300)  # fresh per call
 PRIMES = (2, 3, 5, 32003)
 CANDIDATES = ("scaled basis", "minus one", "lead divisible by p", "vanishing mod p",
               "empty", "generators")
@@ -266,7 +266,7 @@ def arnold_inputs(draw):
     if shape == "empty":
         return i_gens, [], p
     try:
-        g_set = integer_scaled_basis(i_gens, BUDGET)
+        g_set = integer_scaled_basis(i_gens, BUDGET())
     except ResourceLimitExceeded:
         assume(False)
     k = draw(st.integers(min_value=0, max_value=len(g_set) - 1))
@@ -293,7 +293,7 @@ INCOMPLETE = ([P("x2+y2", R_XY), P("xy", R_XY), P("y3", R_XY)],
 def test_conditions_match_all_pairs_reference(case):
     i_gens, g_set, p = case
     try:
-        expected = reference_arnold_conditions(i_gens, g_set, p, BUDGET)
+        expected = reference_arnold_conditions(i_gens, g_set, p, BUDGET())
     except ResourceLimitExceeded:
         assume(False)
-    assert arnold_conditions(i_gens, g_set, p, BUDGET) == expected
+    assert arnold_conditions(i_gens, g_set, p, BUDGET()) == expected

@@ -8,6 +8,7 @@ return the same basis, after the same tail-reduction steps, with either,
 over ZZ, QQ and F_p, in Lex, DegRevLex and Block orders.
 """
 
+from functools import partial
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
@@ -20,7 +21,6 @@ from modgrob import (
     Block,
     DegRevLex,
     Lex,
-    Limits,
     ModularDomain,
     ResourceLimitExceeded,
     RunStats,
@@ -35,7 +35,7 @@ from test_pair_counts import CERTIFY_PREFIXES
 
 ORDERS = [Lex(), DegRevLex(), Block((0,), Lex(), DegRevLex()),
           Block((0,), DegRevLex(), Lex())]
-BUDGET = Limits(max_pairs=1500)
+BUDGET = partial(RunStats, max_pairs=1500)  # fresh per call
 
 
 @st.composite
@@ -62,7 +62,7 @@ def _saturation_053():
 
 def _run(gens):
     """The reduced basis of gens and the steps spent reducing it."""
-    stats = RunStats(BUDGET)
+    stats = BUDGET()
     complete = buchberger_z if gens[0].ring.domain == ZZ else buchberger_field
     basis = complete(gens, stats)
     return basis, stats.steps - stats.reductions

@@ -11,10 +11,10 @@ from modgrob import (
     GroebnerBasis,
     InvalidLimit,
     Lex,
-    Limits,
     ModularDomain,
     Polynomial,
     ResourceLimitExceeded,
+    RunStats,
     buchberger_field,
     buchberger_z,
     change_domain,
@@ -288,13 +288,13 @@ def test_resource_limit_triggers():
     gens = [P(s, ring(("z", "y", "x"), Lex(), ZZ))
             for s in ("3z2-y2+zx", "7yx2-z-1", "5x3+2zy-4")]
     with pytest.raises(ResourceLimitExceeded):
-        buchberger_z(gens, Limits(max_pairs=2))
+        buchberger_z(gens, RunStats(max_pairs=2))
 
 
 def test_negative_reduction_budget_is_refused():
     with pytest.raises(InvalidLimit, match="^reduction budget must be >= 0, got -1$"):
-        Limits(max_reductions=-1)
-    assert Limits(max_reductions=0).max_reductions == 0
+        RunStats(max_reductions=-1)
+    assert RunStats(max_reductions=0).max_reductions == 0
 
 
 def test_domain_checks():

@@ -9,6 +9,7 @@ Lex, DegRevLex and Block orders.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,9 +22,9 @@ from modgrob import (
     Block,
     DegRevLex,
     Lex,
-    Limits,
     ModularDomain,
     ResourceLimitExceeded,
+    RunStats,
     buchberger_field,
     buchberger_z,
     groebner,
@@ -34,7 +35,7 @@ from modgrob.polyring import poly_scale, ring
 from reference import reference_is_groebner_basis
 
 DOMAINS = (ZZ, QQ, ModularDomain(2), ModularDomain(7))
-BUDGET = Limits(max_pairs=500)
+BUDGET = partial(RunStats, max_pairs=500)  # fresh per call
 
 
 @st.composite
@@ -60,7 +61,7 @@ def candidates(draw):
         return gens
     complete = buchberger_z if domain == ZZ else buchberger_field
     try:
-        basis = list(complete(gens, BUDGET).elements)
+        basis = list(complete(gens, BUDGET()).elements)
     except ResourceLimitExceeded:
         assume(False)
     if shape == "basis":
@@ -133,6 +134,6 @@ def test_check_budget_counts_only_checked_pairs(monkeypatch):
     checked = built[0]
     pairs = len(basis) * (len(basis) - 1) // 2
     assert (checked, pairs) == (8, 21)
-    assert is_groebner_basis(basis, Limits(max_pairs=checked))
+    assert is_groebner_basis(basis, RunStats(max_pairs=checked))
     with pytest.raises(ResourceLimitExceeded):
-        is_groebner_basis(basis, Limits(max_pairs=checked - 1))
+        is_groebner_basis(basis, RunStats(max_pairs=checked - 1))

@@ -14,7 +14,6 @@ from modgrob import (
     QQ,
     ZZ,
     DegRevLex,
-    Limits,
     ModularDomain,
     Polynomial,
     ResourceLimitExceeded,
@@ -185,14 +184,14 @@ KATSURA3_ZZ_STEPS = 1077  # its pinned completion steps, before the basis reduct
 
 def test_pair_budget_counts_only_built_pairs():
     """Pairs skipped by a criterion are free: the pinned count is exactly enough."""
-    assert len(buchberger_z(katsura(3, ZZ), Limits(max_pairs=KATSURA3_ZZ_PAIRS))) == 12
+    assert len(buchberger_z(katsura(3, ZZ), RunStats(max_pairs=KATSURA3_ZZ_PAIRS))) == 12
     with pytest.raises(ResourceLimitExceeded):
-        buchberger_z(katsura(3, ZZ), Limits(max_pairs=KATSURA3_ZZ_PAIRS - 1))
+        buchberger_z(katsura(3, ZZ), RunStats(max_pairs=KATSURA3_ZZ_PAIRS - 1))
 
 
 def test_one_run_stats_bounds_the_calls_that_share_it():
     """Calls given one ``RunStats`` spend from it together, what each spends
-    alone; a ``Limits`` is never used up, each call counts afresh."""
+    alone."""
     calls = [lambda limits: buchberger_z(katsura(3, ZZ), limits),
              lambda limits: torsion_exponent(katsura(2, ZZ), limits)]
     alone = []
@@ -204,11 +203,8 @@ def test_one_run_stats_bounds_the_calls_that_share_it():
     for call in calls:
         call(shared)
     assert (shared.pairs, shared.reductions, shared.steps) == tuple(map(sum, zip(*alone)))
-    limits = Limits(max_pairs=KATSURA3_ZZ_PAIRS)  # enough for either call alone
     assert [pairs for pairs, _, _ in alone] == [KATSURA3_ZZ_PAIRS, 40]
-    for call in calls + calls:
-        call(limits)
-    shared = RunStats(limits)
+    shared = RunStats(max_pairs=KATSURA3_ZZ_PAIRS)  # enough for either call alone
     calls[0](shared)
     with pytest.raises(ResourceLimitExceeded, match=r"^pair budget exhausted \(76\)"):
         calls[1](shared)
@@ -250,32 +246,32 @@ def test_arnold_conditions_charge_every_step(monkeypatch):
     i_gens = homogenize_ideal(cyclic(4, ZZ))
     g_set = integer_scaled_basis(i_gens)
     reduce = groebner._reduce
+    stats = RunStats()
     uncharged = []
 
-    def spying_reduce(f, reducers, step=None, pseudo=False):
-        if step is None:
+    def spying_reduce(f, reducers, step, pseudo=False):
+        if step.__self__ is not stats:
             uncharged.append(f)
         return reduce(f, reducers, step, pseudo)
 
     monkeypatch.setattr(groebner, "_reduce", spying_reduce)
-    stats = RunStats()
     assert arnold_conditions(i_gens, g_set, 32003, stats).verdict == arnold.VERIFIED
     assert (stats.reductions, stats.steps, uncharged) == (53, 53 + 21, [])
-    arnold_conditions(i_gens, g_set, 32003, RunStats(Limits(max_reductions=74)))
+    arnold_conditions(i_gens, g_set, 32003, RunStats(max_reductions=74))
     with pytest.raises(ResourceLimitExceeded, match=r"^reduction budget exhausted \(73\)$"):
-        arnold_conditions(i_gens, g_set, 32003, RunStats(Limits(max_reductions=73)))
+        arnold_conditions(i_gens, g_set, 32003, RunStats(max_reductions=73))
 
 
 def test_reduction_budget_bounds_canonicalization():
     """The basis reduction after completion charges the completion's budget:
     katsura3 over ZZ reduces its basis in 12 more steps."""
     with pytest.raises(ResourceLimitExceeded) as err:
-        buchberger_z(katsura(3, ZZ), Limits(max_reductions=KATSURA3_ZZ_STEPS))
+        buchberger_z(katsura(3, ZZ), RunStats(max_reductions=KATSURA3_ZZ_STEPS))
     assert any(entry.name == "_canonicalize" for entry in err.traceback)
-    limits = Limits(max_reductions=KATSURA3_ZZ_STEPS + 12)
+    limits = RunStats(max_reductions=KATSURA3_ZZ_STEPS + 12)
     assert len(buchberger_z(katsura(3, ZZ), limits)) == 12
     with pytest.raises(ResourceLimitExceeded):
-        buchberger_z(katsura(3, ZZ), Limits(max_reductions=KATSURA3_ZZ_STEPS + 11))
+        buchberger_z(katsura(3, ZZ), RunStats(max_reductions=KATSURA3_ZZ_STEPS + 11))
 
 
 # Criterion-1 prefixes (seed 20260808) whose saturation was the costliest,

@@ -12,6 +12,7 @@ later one strongly divides; the last tests run only where that happens.
 """
 
 from contextlib import contextmanager
+from functools import partial
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
@@ -23,10 +24,10 @@ from modgrob import (
     Block,
     DegRevLex,
     Lex,
-    Limits,
     ModularDomain,
     Polynomial,
     ResourceLimitExceeded,
+    RunStats,
     buchberger_field,
     buchberger_z,
     gb_mod_m,
@@ -40,7 +41,7 @@ from reference import criteria_free_complete
 from test_pair_counts import katsura
 
 # The reference builds every pair, so the budget keeps a rare blow-up short.
-BUDGET = Limits(max_pairs=1500)
+BUDGET = partial(RunStats, max_pairs=1500)  # fresh per call
 
 
 @st.composite
@@ -91,7 +92,7 @@ def _both(compute):
 @example(CHAIN_TRAPS[3])
 @settings(max_examples=300, deadline=None)
 def test_strong_basis_matches_reference(gens):
-    expected, basis = _both(lambda: buchberger_z(gens, BUDGET))
+    expected, basis = _both(lambda: buchberger_z(gens, BUDGET()))
     assert basis.elements == expected.elements
     assert is_groebner_basis(basis.elements)
 
@@ -100,17 +101,17 @@ def test_strong_basis_matches_reference(gens):
 @example(CHAIN_TRAPS[0], 4)
 @settings(max_examples=200, deadline=None)
 def test_basis_mod_m_matches_reference(gens, m):
-    expected, basis = _both(lambda: gb_mod_m(gens, m, BUDGET))
+    expected, basis = _both(lambda: gb_mod_m(gens, m, BUDGET()))
     assert basis.elements == expected.elements
     adjoined = gens + [Polynomial.constant(gens[0].ring, m)]
-    assert is_groebner_basis(buchberger_z(adjoined, BUDGET).elements)
+    assert is_groebner_basis(buchberger_z(adjoined, BUDGET()).elements)
 
 
 @given(zz_ideals())
 @example(CHAIN_TRAPS[0])
 @settings(max_examples=100, deadline=None)
 def test_saturation_matches_reference(gens):
-    expected, picked = _both(lambda: torsion_exponent(gens, BUDGET).saturation_basis)
+    expected, picked = _both(lambda: torsion_exponent(gens, BUDGET()).saturation_basis)
     assert picked == expected
     assert is_groebner_basis(picked)
 
@@ -125,7 +126,7 @@ def test_prime_field_basis_matches_reference(gens, p):
     """Completion over ZZ/p runs the chain criterion on monic elements."""
     ring_ = with_domain(gens[0].ring, ModularDomain(p))
     images = [change_domain(g, ring_.domain) for g in gens]
-    expected, basis = _both(lambda: buchberger_field(images, BUDGET, ring=ring_))
+    expected, basis = _both(lambda: buchberger_field(images, BUDGET(), ring=ring_))
     assert basis.elements == expected.elements
     assert is_groebner_basis(basis.elements)
 
@@ -178,13 +179,13 @@ def test_redundant_elements_match_reference(gens, m):
         images = [change_domain(g, ring_.domain) for g in gens]
 
         def compute():
-            return buchberger_field(images, BUDGET, ring=ring_)
+            return buchberger_field(images, BUDGET(), ring=ring_)
     elif m:
         def compute():
-            return gb_mod_m(gens, m, BUDGET)
+            return gb_mod_m(gens, m, BUDGET())
     else:
         def compute():
-            return buchberger_z(gens, BUDGET)
+            return buchberger_z(gens, BUDGET())
     with _redundancy() as seen:
         expected, basis = _both(compute)
     assume(any(seen))

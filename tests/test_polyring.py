@@ -146,8 +146,8 @@ def test_modular_scaling():
 
 
 @pytest.mark.parametrize("c, over_zz, mod_6", [
-    (8, 8, 2), (-7, -7, 5), (True, 1, 1), (Fraction(-9, 1), -9, 3), (2.0, 2, 2),
-], ids=["int", "negative", "bool", "integral-fraction", "float"])
+    (8, 8, 2), (-7, -7, 5), (True, 1, 1), (Fraction(-9, 1), -9, 3),
+], ids=["int", "negative", "bool", "integral-fraction"])
 def test_integer_normalize_returns_exact_ints(c, over_zz, mod_6):
     """Plain ints take a fast path; every other integral value gives the same."""
     for domain, expected in ((ZZ, over_zz), (ModularDomain(6), mod_6)):
@@ -156,6 +156,24 @@ def test_integer_normalize_returns_exact_ints(c, over_zz, mod_6):
     for domain in (ZZ, ModularDomain(6)):
         with pytest.raises(DomainError):
             domain.normalize(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: 0.5 * P("x"), DomainError, "0.5 is not an integer"),
+    (lambda: P("x") * 2.5, DomainError, "2.5 is not an integer"),
+    (lambda: ZZ.normalize("7"), DomainError, "7 is not an integer"),
+    (lambda: ModularDomain(7).normalize(3.9), DomainError, "3.9 is not an integer"),
+    (lambda: ZZ.normalize(2.0), DomainError, "2.0 is not an integer"),
+    (lambda: Polynomial.from_terms(R2, [(1, (1.5, 0))]), ValueError,
+     "exponent not an integer in (1.5, 0)"),
+], ids=["float-times-f", "f-times-float", "string", "float-mod-7", "integral-float",
+        "float-exponent"])
+def test_non_integers_are_refused(call, error, message):
+    """Coefficients over ZZ and ZZ/m and exponents are exact integers, never
+    truncated: x^1.5 would print as text no parser reads back."""
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_ring_mismatch_rejected():

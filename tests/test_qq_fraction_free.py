@@ -10,6 +10,7 @@ reduction steps, in Lex, DegRevLex and Block orders.
 """
 
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
@@ -21,7 +22,6 @@ from modgrob import (
     Block,
     DegRevLex,
     Lex,
-    Limits,
     Polynomial,
     ResourceLimitExceeded,
     RunStats,
@@ -34,7 +34,7 @@ from reference import fraction_complete
 
 ORDERS = [Lex(), DegRevLex(), Block((0,), DegRevLex(), Lex())]
 # Both engines build the same pairs, so one budget bounds a rare blow-up.
-BUDGET = Limits(max_pairs=400)
+BUDGET = partial(RunStats, max_pairs=400)  # fresh per call
 
 
 @st.composite
@@ -64,7 +64,7 @@ def _ideal(order, *texts):
 
 def _run(gens):
     """buchberger_field(gens) with the pairs it built and its completion steps."""
-    stats = RunStats(BUDGET)
+    stats = BUDGET()
     basis = buchberger_field(gens, stats)
     return basis, {"pairs": stats.pairs, "reductions": stats.reductions}
 

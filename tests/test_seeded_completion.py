@@ -10,13 +10,14 @@ out identical.
 """
 
 import math
+from functools import partial
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modgrob import (
-    Limits,
     ResourceLimitExceeded,
+    RunStats,
     buchberger_z,
     gb_mod_m,
     minimal_multiplier,
@@ -28,7 +29,7 @@ from reference import reference_contract
 from test_pair_criteria import zz_ideals
 from test_torsion import CHAIN
 
-BUDGET = Limits(max_pairs=1500)
+BUDGET = partial(RunStats, max_pairs=1500)  # fresh per call
 
 
 @given(zz_ideals(), st.sampled_from([2, 4, 8, 3, 9, 27, 25]))
@@ -36,19 +37,19 @@ BUDGET = Limits(max_pairs=1500)
 @settings(max_examples=150, deadline=None)
 def test_seeded_certificate_stages_match_unseeded(gens, prime_power):
     try:
-        basis = buchberger_z(gens, BUDGET)
-        contracted = reference_contract(basis, BUDGET)
+        basis = buchberger_z(gens, BUDGET())
+        contracted = reference_contract(basis, BUDGET())
     except ResourceLimitExceeded:
         assume(False)
     multipliers = tuple((g, minimal_multiplier(g, basis)) for g in contracted)
     expected = TorsionReport(exponent=math.lcm(*(m for _, m in multipliers)),
                              saturation_basis=tuple(contracted),
                              multipliers=multipliers)
-    report = torsion_report(basis, BUDGET)
+    report = torsion_report(basis, BUDGET())
     assert report == expected
     moduli = {p ** a for p, a in factorize(report.exponent)} | {prime_power}
     for m in sorted(moduli):
-        seeded = _extend_mod_m(basis, m, BUDGET)
-        unseeded = gb_mod_m(basis.elements, m, BUDGET)
+        seeded = _extend_mod_m(basis, m, BUDGET())
+        unseeded = gb_mod_m(basis.elements, m, BUDGET())
         assert seeded.ring == unseeded.ring
         assert seeded.elements == unseeded.elements

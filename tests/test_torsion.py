@@ -11,7 +11,6 @@ from modgrob import (
     DegRevLex,
     DomainError,
     Lex,
-    Limits,
     NonMember,
     Polynomial,
     ResourceLimitExceeded,
@@ -123,9 +122,9 @@ def test_multiplier_steps_draw_on_the_run_budget():
     stats = RunStats()
     assert minimal_multiplier(z, basis_z, stats) == 27
     assert (stats.pairs, stats.reductions, stats.steps) == (0, 0, 6)
-    assert minimal_multiplier(z, basis_z, Limits(max_reductions=6)) == 27
+    assert minimal_multiplier(z, basis_z, RunStats(max_reductions=6)) == 27
     with pytest.raises(ResourceLimitExceeded, match=r"^reduction budget exhausted \(5\)"):
-        minimal_multiplier(z, basis_z, Limits(max_reductions=5))
+        minimal_multiplier(z, basis_z, RunStats(max_reductions=5))
 
 
 def test_multiplier_rejects_non_members():
