@@ -4,7 +4,7 @@ For a homogeneous ideal I over ZZ, a candidate set G over ZZ and a prime
 p, the four hypotheses below certify that G is a Groebner basis of QQ I:
 
   1. the image G mod p is a Groebner basis of the image ideal I mod p,
-  2. G (made monic) is a Groebner basis of the ideal it generates over QQ,
+  2. G over QQ is a Groebner basis of the ideal it generates,
   3. QQ I is contained in that ideal,
   4. the lead-monomial sets of G mod p and of G coincide.
 
@@ -15,9 +15,9 @@ I mod p is always completed:
      I mod p, and each lead monomial of that basis is divisible by a lead
      monomial of G mod p (so G mod p lies in I mod p and its lead
      monomials generate the lead ideal);
-  2. is_groebner_basis on monic(G), which skips the pairs Buchberger's
+  2. is_groebner_basis on G over QQ, which skips the pairs Buchberger's
      product and chain criteria make redundant;
-  3. every generator of I reduces to 0 against monic(G) when (2) holds,
+  3. every generator of I reduces to 0 against G over QQ when (2) holds,
      and against the completion of G over QQ otherwise;
   4. a comparison of the two lead-monomial sets.
 
@@ -44,7 +44,6 @@ from .polyring import (
     homogenize,
     is_homogeneous,
     leading_monomial,
-    monic,
     monomial_divides,
     with_domain,
 )
@@ -107,16 +106,16 @@ def arnold_conditions(i_gens, g_set, p, limits=None):
                          for g in g_p)
                      for h in i_p_basis))
 
-    # (2) G, made monic over QQ, is a Groebner basis of the ideal it
-    # generates (G itself need not be reduced; only completeness is demanded).
-    g_q_monic = [monic(change_domain(g, QQ)) for g in g_set]
-    cond2 = is_groebner_basis(g_q_monic, limits)
+    # (2) G over QQ is a Groebner basis of the ideal it generates (G itself
+    # need not be reduced; only completeness is demanded).
+    g_q = [change_domain(g, QQ) for g in g_set]
+    cond2 = is_groebner_basis(g_q, limits)
 
     # (3) QQ I lies inside the QQ-ideal generated by G.  When (2) holds,
-    # monic(G) already is a Groebner basis of that ideal.
-    g_q_basis = g_q_monic
+    # G over QQ already is a Groebner basis of that ideal.
+    g_q_basis = g_q
     if not cond2:
-        g_q_basis = buchberger_field(g_q_monic, limits, ring=with_domain(ring_, QQ))
+        g_q_basis = buchberger_field(g_q, limits, ring=with_domain(ring_, QQ))
     cond3 = all(normal_form(change_domain(f, QQ), g_q_basis, limits).is_zero for f in i_gens)
 
     # (4) Lead monomials agree as sets, coefficients ignored.

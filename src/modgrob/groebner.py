@@ -255,7 +255,8 @@ def s_polynomial_field(f, g):
 
 
 def s_pair_z(f, g):
-    """Integer S-combination: scale both sides to lcm of the lead coefficients."""
+    """Integer S-combination: scale both sides to lcm of the lead coefficients;
+    the field S-polynomial on monic elements, a unit multiple on primitive QQ ones."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("s-pair of a zero polynomial")
     a, b = leading_coefficient(f), leading_coefficient(g)
@@ -290,23 +291,14 @@ def _primitive(f):
                       tuple((n // g, m) for n, (_, m) in zip(nums, f.terms)))
 
 
-def _domain_rules(ring_, pseudo=False):
-    """(normaliser, pair polynomials by kind): all that completion does per domain.
-
-    A field is the Euclidean case in which every lead coefficient is a
-    unit, so every G-pair is subsumed by a parent and S-polynomials remain.
-    ``pseudo`` asks for the fraction-free rules of QQ: primitive integer
-    polynomials, whose integer S-pairs are unit multiples of the field's.
-    The pair functions are looked up here, at call time, so rebinding the
-    module names reaches every completion and completeness check.
-    """
+def _normalizer(ring_):
+    """The form completion keeps elements in: monic over a field (over QQ,
+    ``_primitive`` until the end), a positive lead coefficient over ZZ."""
     dom = ring_.domain
-    if pseudo:
-        return _primitive, {S_PAIR: s_pair_z}
     if dom.is_field:
-        return monic, {S_PAIR: s_polynomial_field}
+        return monic
     if isinstance(dom, IntegerDomain):
-        return _sign_normalized, {S_PAIR: s_pair_z, G_PAIR: g_pair_z}
+        return _sign_normalized
     raise DomainError(f"{dom.name}: only fields and ZZ are supported")
 
 
@@ -316,9 +308,11 @@ def _strongly_divides(lt_small, lt_big):
 
 
 def _poly_sort_key(key):
-    def inner(f):
-        return tuple((key(m), c) for c, m in f.terms)
-    return inner
+    """Rank by lead term, which decides: each new working element is fully
+    reduced by all earlier ones, so over a field no earlier lead monomial
+    divides its own, and over ZZ its lead coefficient is a canonical residue
+    in [1, |a|) for every applicable lead coefficient a: no two share one."""
+    return lambda f: (key(leading_monomial(f)), leading_coefficient(f))
 
 
 def _common_ring(gens, ring_):
@@ -340,9 +334,10 @@ class _Pairs:
 
     ``add(g)`` appends g to ``elements`` and queues its pairs.  Iterating
     pops pairs by the order key of their lcm, S-pairs before G-pairs, then
-    in creation order, sees pairs queued meanwhile, and yields (kind, f, g)
-    for each pair no criterion skips.  Only those are charged to ``stats``,
-    the run's ``RunStats``, which the caller's reductions share.
+    in creation order, sees pairs queued meanwhile, and yields the pair
+    polynomial, ``s_pair_z`` or ``g_pair_z`` (looked up by name at each
+    call), of each pair no criterion skips.  Only those are charged to
+    ``stats``, the run's ``RunStats``, which the caller's reductions share.
 
     Write lt_i = c_i m_i, every c_i taken as 1 over a field, and T_ij =
     lcm(c_i, c_j) lcm(m_i, m_j).  The criteria are Gebauer and Moeller's
@@ -469,7 +464,8 @@ class _Pairs:
                 if any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads):
                     continue
             self.stats.pair()
-            yield kind, self.elements[i], self.elements[j]
+            build = s_pair_z if kind == S_PAIR else g_pair_z
+            yield build(self.elements[i], self.elements[j])
 
 
 def _complete(gens, ring_, limits, seeded=0):
@@ -481,15 +477,15 @@ def _complete(gens, ring_, limits, seeded=0):
     callers that built that basis themselves pass it.
 
     Over QQ the elements are primitive integer polynomials (content
-    removed, lead coefficient positive), S-pairs come from ``s_pair_z`` and
-    reduce by pseudo-division, and the elements become monic ``Fraction``
-    polynomials only for ``_canonicalize``.  Every working polynomial is a
-    nonzero rational multiple of the one ``Fraction`` arithmetic would
-    hold, so zero tests, lead monomials, reducer choices, pairs, counts and
-    the reduced basis are those of the ``Fraction`` path.
+    removed, lead coefficient positive) that reduce by pseudo-division, and
+    they become monic ``Fraction`` polynomials only for ``_canonicalize``.
+    Every working polynomial is a nonzero rational multiple of the one
+    ``Fraction`` arithmetic would hold, so zero tests, lead monomials,
+    reducer choices, pairs, counts and the reduced basis are those of the
+    ``Fraction`` path.
     """
     pseudo = isinstance(ring_.domain, RationalDomain)
-    normalize, pair_functions = _domain_rules(ring_, pseudo)
+    normalize = _primitive if pseudo else _normalizer(ring_)
     key = monomial_key(ring_.order)
     sort_key = _poly_sort_key(key)
     # The chain criterion runs in every completion but the fraction-free
@@ -508,8 +504,8 @@ def _complete(gens, ring_, limits, seeded=0):
     for g in gens:
         if not g.is_zero:
             add_reduced(_primitive(g) if pseudo else g)
-    for kind, f, g in pairs:
-        add_reduced(pair_functions[kind](f, g))
+    for pair in pairs:
+        add_reduced(pair)
     G = pairs.elements
     if pseudo:
         G = [change_domain(g, ring_.domain) for g in G]
@@ -525,10 +521,11 @@ def _canonicalize(G, ring_, key, stats):
     or h would strongly divide g.  So d > c, c divided by d is 0, and no
     step touches a lead term; over a field no other lead monomial divides
     m.  One pass leaves every tail irreducible by unchanged, normalized
-    leads: the reduced basis.  Steps are charged to ``stats``, the
+    leads: the reduced basis, on distinct lead monomials, so sorted once by
+    ``_poly_sort_key`` and reversed.  Steps are charged to ``stats``, the
     completion's ``RunStats``, as steps outside completion.
     """
-    normalize, _ = _domain_rules(ring_)
+    normalize = _normalizer(ring_)
     G = sorted((normalize(g) for g in G if not g.is_zero), key=_poly_sort_key(key))
     kept = []
     for g in G:
@@ -537,8 +534,7 @@ def _canonicalize(G, ring_, key, stats):
             kept.append(g)
     for i in range(len(kept)):
         kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], stats.step)[1]
-    kept.sort(key=lambda g: key(leading_monomial(g)), reverse=True)
-    return GroebnerBasis(ring_, tuple(kept), reduced=True)
+    return GroebnerBasis(ring_, tuple(reversed(kept)), reduced=True)
 
 
 def buchberger_field(gens, limits=None, *, ring=None):
@@ -633,13 +629,13 @@ def is_groebner_basis(polys, limits=None):
     ring_ = polys[0].ring
     _check_reducers(polys[0], polys)
     pseudo = isinstance(ring_.domain, RationalDomain)
-    normalize, pair_functions = _domain_rules(ring_, pseudo)
+    normalize = _primitive if pseudo else _normalizer(ring_)
     pairs = _Pairs(ring_, limits, chain=True)
     polys = [normalize(p) for p in polys]
     for p in polys:
         pairs.add(p)
-    for kind, f, g in pairs:
-        _, r = _reduce(pair_functions[kind](f, g), polys, pairs.stats.reduction, pseudo)
+    for pair in pairs:
+        _, r = _reduce(pair, polys, pairs.stats.reduction, pseudo)
         if not r.is_zero:
             return False
     return True

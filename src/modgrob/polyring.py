@@ -7,6 +7,7 @@ term order, with no zero coefficients.  Everything is immutable.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +52,11 @@ class RationalDomain:
         return True
 
     def normalize(self, c):
-        return Fraction(c)
+        if type(c) is Fraction:
+            return c
+        if isinstance(c, int):
+            return Fraction(c)
+        raise DomainError(f"{c} is not an int or a Fraction")
 
     def coeff_divmod(self, c, a):
         return Fraction(c) / a, Fraction(0)
@@ -178,6 +183,16 @@ def monomial_div(a, b):
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
+@lru_cache(maxsize=None)
+def _check_variables(variables):
+    """Refuse names the parser cannot read back (\\w+ led by a letter or '_')."""
+    if "" in variables or len(set(variables)) != len(variables):
+        raise ValueError("variable names must be distinct and nonempty")
+    for name in variables:
+        if not (re.fullmatch(r"\w+", name) and (name[0].isalpha() or name[0] == "_")):
+            raise ValueError(f"variable name {name!r} is not an identifier")
+
+
 @dataclass(frozen=True)
 class RingDescriptor:
     variables: tuple
@@ -185,8 +200,7 @@ class RingDescriptor:
     domain: IntegerDomain | RationalDomain | ModularDomain
 
     def __post_init__(self):
-        if "" in self.variables or len(set(self.variables)) != len(self.variables):
-            raise ValueError("variable names must be distinct and nonempty")
+        _check_variables(self.variables)
 
     @property
     def arity(self):
@@ -368,11 +382,10 @@ def monic(f):
     """Scale f by the inverse of its leading coefficient (field domains)."""
     if f.is_zero:
         return f
-    if isinstance(f.ring.domain, RationalDomain):
-        return poly_scale(f, Fraction(1) / leading_coefficient(f))
-    if isinstance(f.ring.domain, ModularDomain) and f.ring.domain.is_field:
-        return poly_scale(f, pow(leading_coefficient(f), -1, f.ring.domain.modulus))
-    raise DomainError("monic rescaling needs a field domain")
+    dom = f.ring.domain
+    if not dom.is_field:
+        raise DomainError("monic rescaling needs a field domain")
+    return poly_scale(f, dom.coeff_divmod(1, leading_coefficient(f))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ are renamed by what they specify:
   minimization and tail reduction until a pass changed nothing
   (``test_canonicalize``);
 - ``_ReducerView``: the sorted reducer list of those completion loops;
+- ``_domain_rules`` and ``_poly_sort_key``, the helpers of that time for
+  every frozen completion, canonicalization and check here: each domain's
+  normaliser and pair functions, and a sort key over every term;
 - ``reference_is_groebner_basis``: ``is_groebner_basis`` before it
   skipped pairs, reducing every S-pair and G-pair (``test_groebner_check``);
 - ``reference_contract``: ``torsion._contract`` when it saturated at s
@@ -63,10 +66,13 @@ from modgrob.groebner import (
     S_PAIR,
     GroebnerBasis,
     _canonicalize,
-    _domain_rules,
-    _poly_sort_key,
+    _primitive,
     _reduce,
+    _sign_normalized,
     _strongly_divides,
+    g_pair_z,
+    s_pair_z,
+    s_polynomial_field,
 )
 from modgrob.intarith import ext_gcd
 from modgrob.parser import (
@@ -81,6 +87,7 @@ from modgrob.parser import (
 )
 from modgrob.polyring import (
     _MAX_EXPONENT,
+    IntegerDomain,
     RationalDomain,
     _same_ring,
     drop_variable,
@@ -94,8 +101,35 @@ from modgrob.polyring import (
     monomial_key,
     monomial_lcm,
     monomial_mul,
+    monic,
     poly_scale,
 )
+
+
+def _domain_rules(ring_, pseudo=False):
+    """(normaliser, pair polynomials by kind): all that completion does per domain.
+
+    A field is the Euclidean case in which every lead coefficient is a
+    unit, so every G-pair is subsumed by a parent and S-polynomials remain.
+    ``pseudo`` asks for the fraction-free rules of QQ: primitive integer
+    polynomials, whose integer S-pairs are unit multiples of the field's.
+    The pair functions are looked up here, at call time, so rebinding the
+    module names reaches every completion and completeness check.
+    """
+    dom = ring_.domain
+    if pseudo:
+        return _primitive, {S_PAIR: s_pair_z}
+    if dom.is_field:
+        return monic, {S_PAIR: s_polynomial_field}
+    if isinstance(dom, IntegerDomain):
+        return _sign_normalized, {S_PAIR: s_pair_z, G_PAIR: g_pair_z}
+    raise DomainError(f"{dom.name}: only fields and ZZ are supported")
+
+
+def _poly_sort_key(key):
+    def inner(f):
+        return tuple((key(m), c) for c, m in f.terms)
+    return inner
 
 
 class _ReducerView:

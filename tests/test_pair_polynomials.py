@@ -7,16 +7,19 @@ which merged two sorted term lists and built each multiple with
 ``term_mul`` first.  Both must give equal polynomials over ZZ, QQ, ZZ/p and
 composite ZZ/m, in Lex, DegRevLex and Block orders, full cancellation to
 zero included, and raise the same exception with the same message.
+
+Completion builds every S-pair with ``s_pair_z``, over a prime field too:
+on monic elements there it is ``s_polynomial_field``.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
 from modgrob import QQ, ZZ, Block, DegRevLex, Lex, ModularDomain, Polynomial
 from modgrob.groebner import g_pair_z, s_pair_z, s_polynomial_field
-from modgrob.polyring import leading_term, poly_add, poly_sub, ring
+from modgrob.polyring import leading_term, monic, poly_add, poly_sub, ring
 from reference import (
     merge_g_pair_z,
     merge_poly_add,
@@ -49,10 +52,10 @@ def _outcome(fn, f, g):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, pairs=PAIRS):
     """A function, its frozen copy, and two polynomials of one ring, with
     g often a multiple or a near copy of f so that terms cancel."""
-    new, frozen, domains = draw(st.sampled_from(PAIRS))
+    new, frozen, domains = draw(st.sampled_from(pairs))
     order = draw(st.sampled_from(ORDERS))
     ring_ = ring(sts.VARIABLES[3], order, draw(st.sampled_from(domains)))
     f = draw(sts.polynomials(ring_, max_terms=5, max_degree=4))
@@ -68,6 +71,16 @@ def cases(draw):
 def test_matches_merge_reference(case):
     new, frozen, f, g = case
     assert _outcome(new, f, g) == _outcome(frozen, f, g)
+
+
+@settings(max_examples=300)
+@given(cases(((s_pair_z, s_polynomial_field, FIELDS[1:]),)))
+def test_s_pair_z_is_the_field_s_polynomial_on_monic_elements(case):
+    """Over ZZ/p, for monic f and g, s_pair_z(f, g) == s_polynomial_field(f, g)."""
+    new, field, f, g = case
+    assume(f and g)
+    f, g = monic(f), monic(g)
+    assert new(f, g) == field(f, g)
 
 
 def _poly(domain, order, *terms):

@@ -171,6 +171,15 @@ def test_an_empty_variable_name_is_refused():
         ring(("x", "x"), Lex(), ZZ)
 
 
+@pytest.mark.parametrize("name", ["x y", "2x", "x^2", "\u00b2x", "x-1"])
+def test_a_variable_name_the_parser_cannot_read_is_refused(name):
+    """A ring variable must be an identifier of the parser, \\w+ led by a
+    letter or '_': in ring(("x y", "z"), ...) the product of both variables
+    would print as x y*z, text no parser reads back."""
+    with pytest.raises(ValueError, match="^variable name .* is not an identifier$"):
+        ring((name, "z"), Lex(), ZZ)
+
+
 @pytest.mark.parametrize("text, column", [
     ("x^2147483647*x^2", 13), ("x^2147483647 x^2", 14), ("x2147483647(x+1)x", 17),
 ])

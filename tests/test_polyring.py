@@ -166,11 +166,16 @@ def test_integer_normalize_returns_exact_ints(c, over_zz, mod_6):
     (lambda: ZZ.normalize(2.0), DomainError, "2.0 is not an integer"),
     (lambda: Polynomial.from_terms(R2, [(1, (1.5, 0))]), ValueError,
      "exponent not an integer in (1.5, 0)"),
+    (lambda: P("3x", R2Q) * 0.1, DomainError, "0.1 is not an int or a Fraction"),
+    (lambda: QQ.normalize("2/6"), DomainError, "2/6 is not an int or a Fraction"),
+    (lambda: QQ.normalize(2.0), DomainError, "2.0 is not an int or a Fraction"),
 ], ids=["float-times-f", "f-times-float", "string", "float-mod-7", "integral-float",
-        "float-exponent"])
+        "float-exponent", "qq-float-times-f", "qq-string", "qq-integral-float"])
 def test_non_integers_are_refused(call, error, message):
-    """Coefficients over ZZ and ZZ/m and exponents are exact integers, never
-    truncated: x^1.5 would print as text no parser reads back."""
+    """Coefficients over ZZ and ZZ/m and exponents are exact integers, and
+    over QQ ints or Fractions, never truncated or rounded: x^1.5 would print
+    as text no parser reads back, and x * 0.1 would carry the float's binary
+    expansion, 3602879701896397/36028797018963968, into the coefficient."""
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
