@@ -155,7 +155,7 @@ def _cmd_solve_p(args):
 
 def _cmd_arnold_verify(args):
     problem, ring_ = _load(args, "arnold-verify")
-    if not args.mod:
+    if args.mod is None:
         raise _UsageError("arnold-verify needs --mod p (the prime)")
     i_gens = _ideal(problem, args.ideal, ring_)
     if "G" not in problem.ideals:

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .intarith import ext_gcd
 from .polyring import (
+    QQ,
     ZZ,
     IntegerDomain,
     ModularDomain,
@@ -58,8 +59,8 @@ class RunStats:
     guard; ``max_reductions`` bounds ``steps``, a wide backstop (elimination
     orders legitimately burn millions of steps).  Only built pairs count:
     one a criterion skips is free.  Every call given one ``RunStats`` as
-    ``limits`` draws on it; with ``None``, each completion, normal form and
-    multiplier search draws on a fresh default one."""
+    ``limits`` draws on it; with ``None``, each completion, normal form,
+    multiplier search and factorization draws on a fresh default one."""
 
     __slots__ = ("max_pairs", "max_reductions", "pairs", "reductions", "steps")
 
@@ -590,6 +591,13 @@ def _extend_mod_m(basis, m, limits):
     again.  Only for a basis that completion built."""
     gens = list(basis.elements) + [Polynomial.constant(basis.ring, m)]
     return _image_mod(_complete(gens, basis.ring, limits, seeded=len(basis)), m)
+
+
+def _basis_over_q(basis, limits):
+    """The reduced basis of QQ J from the strong basis of J, a Groebner basis of QQ J."""
+    ring_ = with_domain(basis.ring, QQ)
+    return _canonicalize([change_domain(g, QQ) for g in basis], ring_,
+                         monomial_key(ring_.order), limits or RunStats())
 
 
 def _image_mod(base, m):

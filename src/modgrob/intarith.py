@@ -144,9 +144,9 @@ def is_prime(n):
     return n < _PSI_13 or _strong_lucas(n)
 
 
-def _pollard_rho(n):
+def _pollard_rho(n, step):
     """One nontrivial factor of composite odd n (Floyd's cycle detection:
-    x takes one step of x^2 + c per round, y two)."""
+    x takes one step of x^2 + c per round, y two); ``step()`` once a round."""
     if n % 2 == 0:
         return 2
     c = 1
@@ -154,6 +154,7 @@ def _pollard_rho(n):
         x = y = 2
         d = 1
         while d == 1:
+            step()
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
@@ -163,12 +164,13 @@ def _pollard_rho(n):
         c += 1
 
 
-def factorize(n):
+def factorize(n, limits=None):
     """Prime-power factorization of n >= 1 as [(p, e), ...], primes ascending.
 
     factorize(1) is the empty list.  Trial division up to 10**6, then
     Pollard rho; plenty for the small smooth exponents these algorithms
-    produce, not for cryptographic sizes.
+    produce, not for cryptographic sizes.  Each rho round is charged to
+    ``limits`` or a fresh ``RunStats`` as a step outside completion.
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
@@ -195,7 +197,10 @@ def factorize(n):
         if is_prime(m):
             account(m)
             continue
-        d = _pollard_rho(m)
+        if limits is None:
+            from .groebner import RunStats  # here: groebner imports this module
+            limits = RunStats()
+        d = _pollard_rho(m, limits.step)
         stack.append(d)
         stack.append(m // d)
     return sorted(counts.items())

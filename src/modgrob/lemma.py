@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import OracleFailure, ResourceLimitExceeded, StreamExhausted
 from .groebner import (
     GroebnerBasis,
+    _basis_over_q,
     _extend_mod_m,
     buchberger_field,
     buchberger_z,
@@ -108,30 +109,27 @@ def main_lemma_check(oracle, j_gens, limits=None):
     j_gens = list(j_gens)
     if not j_gens:
         raise ValueError("the prefix must contain at least one generator")
-    ring_ = j_gens[0].ring
     k = len(j_gens)
 
-    q_ring = with_domain(ring_, QQ)
-    q_candidate = buchberger_field([change_domain(g, QQ) for g in j_gens],
-                                   limits, ring=q_ring)
-    q_oracle = _oracle_answer(oracle, q_ring)
+    # One strong basis serves the QQ candidate, the torsion report, each p^a
+    # basis and the certificate.  The saturation and each p^a basis extend it
+    # without treating its pairs again; the reduced strong basis of <J, p^a>
+    # is canonical, so the candidate is the one gb_mod_m would give.
+    basis = buchberger_z(j_gens, limits)
+    q_candidate = _basis_over_q(basis, limits)
+    q_oracle = _oracle_answer(oracle, q_candidate.ring)
     if not gb_equal(q_oracle, q_candidate):
         witness = BasisMismatch("rationals", None, q_oracle, q_candidate)
         return Certificate(prefix_length=k, q_match=False, mismatches=(witness,))
 
-    # One strong basis serves the torsion report, each p^a basis and the
-    # certificate.  The saturation and each p^a basis extend it without
-    # treating its pairs again; the reduced strong basis of <J, p^a> is
-    # canonical, so the candidate is the one gb_mod_m would give.
-    basis = buchberger_z(j_gens, limits)
     report = torsion_report(basis, limits)
-    factors = tuple(factorize(report.exponent))
+    factors = tuple(factorize(report.exponent, limits))
     verdicts = []
     mismatches = []
     for p, a in factors:
         m_i = p ** a
         candidate = _extend_mod_m(basis, m_i, limits)
-        expected = _oracle_answer(oracle, with_domain(ring_, ModularDomain(m_i)),
+        expected = _oracle_answer(oracle, with_domain(basis.ring, ModularDomain(m_i)),
                                   modulus=m_i)
         ok = gb_equal(expected, candidate)
         verdicts.append((m_i, ok))

@@ -52,7 +52,7 @@ def _contract(basis_z, limits=None):
     if not basis_z.elements:
         return []
     s = math.lcm(*(leading_coefficient(g) for g in basis_z.elements))
-    r = math.prod(p for p, _ in factorize(s))
+    r = math.prod(p for p, _ in factorize(s, limits))
     yname = fresh_variable_name(ring_.variables, "Y")
     ext_ring = RingDescriptor((yname,) + ring_.variables,
                               Block((0,), Lex(), ring_.order),
@@ -89,7 +89,7 @@ def minimal_multiplier(g, j_basis_z, limits=None):
     k, remainder = _reduce(g, reducers, step, pseudo=True)
     if not remainder.is_zero:
         raise NonMember(f"{g} is not in the rational span of the basis")
-    for p, _ in factorize(k):
+    for p, _ in factorize(k, limits):
         while k % p == 0 and _reduce(poly_scale(g, k // p), reducers, step)[1].is_zero:
             k //= p
     return k

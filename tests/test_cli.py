@@ -118,6 +118,14 @@ def test_arnold_needs_prime(capsys):
     assert code == 2 and "--mod" in err
 
 
+@pytest.mark.parametrize("mod", ["0", "1", "-3"])
+def test_arnold_refuses_a_given_non_prime(capsys, mod):
+    """A --mod that is given but falsy or negative is not a missing --mod."""
+    code, out, err = run(capsys, "arnold-verify", CORPUS / "arnold_counterexample.mg",
+                         f"--mod={mod}")
+    assert (code, out, err) == (2, "", f"error: {mod} is not prime\n")
+
+
 def test_solve_p_demo(capsys):
     code, out, _ = run(capsys, "solve-p", CORPUS / "solve_p_demo.mg")
     assert code == 0

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from modgrob import (
     ModularDomain,
     NotCoprime,
+    ResourceLimitExceeded,
+    RunStats,
     crt_coefficients,
     ext_gcd,
     factorize,
@@ -101,6 +103,19 @@ def test_factorize_reassembles(n):
 def test_factorize_large_semiprime():
     p, q = 10**9 + 7, 10**9 + 9
     assert factorize(p * q) == [(p, 1), (q, 1)]
+
+
+def test_pollard_rho_draws_on_the_run_budget():
+    """Each rho round is a step: 1000003 * 1000033 takes 478 of them, and
+    trial division below 10**6 takes none."""
+    n = 1000003 * 1000033
+    with pytest.raises(ResourceLimitExceeded, match=r"^reduction budget exhausted \(10\)$"):
+        factorize(n, RunStats(max_reductions=10))
+    stats = RunStats()
+    assert factorize(n, stats) == [(1000003, 1), (1000033, 1)] and stats.steps == 478
+    assert factorize(n) == [(1000003, 1), (1000033, 1)]
+    stats = RunStats(max_reductions=0)
+    assert factorize(2**10 * 999983**2, stats) == [(2, 10), (999983, 2)]
 
 
 def test_is_prime_spot_checks():

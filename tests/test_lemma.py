@@ -1,12 +1,16 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modgrob import (
+    QQ,
     Certificate,
     IdealOracle,
     OracleFailure,
     StreamExhausted,
+    buchberger_field,
     buchberger_z,
     crt_coefficients,
     gb_equal,
@@ -17,7 +21,8 @@ from modgrob import (
     parse_polynomial,
     solve_problem_p,
 )
-from modgrob.polyring import Lex, ZZ, ring
+from modgrob.polyring import Lex, ZZ, change_domain, ring, with_domain
+from test_pair_criteria import zz_ideals
 
 R1 = ring(("x",), Lex(), ZZ)
 R2 = ring(("y", "x"), Lex(), ZZ)
@@ -188,3 +193,31 @@ def test_certificate_accepted_property_consistency():
     cert = Certificate(prefix_length=1, q_match=True, exponent=4,
                        modulus_verdicts=((4, False),))
     assert not cert.accepted
+
+
+@st.composite
+def streamed_prefixes(draw):
+    """(generators of I, length of the prefix J) over ZZ."""
+    gens = draw(zz_ideals())
+    return gens, draw(st.integers(min_value=1, max_value=len(gens)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(streamed_prefixes())
+@example(([P("x2"), P("x")], 1))   # rejected over QQ
+@example(([P("2x"), P("3x")], 1))  # passes over QQ, rejected mod 3
+def test_qq_candidate_is_the_rational_basis(instance):
+    """The certificate reads its QQ candidate off the strong ZZ basis of J.
+    It is the basis completion over QQ gives: the rejection's witness when
+    the prefix fails over QQ, and the oracle's basis when it passes."""
+    gens, k = instance
+    oracle = IdealOracle(gens)
+    cert = main_lemma_check(oracle, gens[:k])
+    q_ring = with_domain(gens[0].ring, QQ)
+    expected = buchberger_field([change_domain(g, QQ) for g in gens[:k]], ring=q_ring)
+    if cert.q_match:
+        assert gb_equal(oracle.basis_over_q(), expected)
+    else:
+        (witness,) = cert.mismatches
+        assert witness.stage == "rationals"
+        assert gb_equal(witness.candidate_basis, expected)

@@ -14,6 +14,7 @@ from modgrob import (
     QQ,
     ZZ,
     DegRevLex,
+    IdealOracle,
     ModularDomain,
     Polynomial,
     ResourceLimitExceeded,
@@ -23,6 +24,7 @@ from modgrob import (
     buchberger_z,
     gb_mod_m,
     homogenize_ideal,
+    main_lemma_check,
     torsion_exponent,
 )
 from modgrob import arnold, groebner, torsion
@@ -306,3 +308,37 @@ def test_certify_saturation_work(work, instance, exponent, s_pairs, g_pairs, red
     saturation = {name: count - before[name] for name, count in spent().items()}
     assert saturation == {"s_pair_z": s_pairs, "g_pair_z": g_pairs, "s_polynomial_field": 0,
                           "reductions": reductions}
+
+
+@pytest.mark.parametrize("k, accepted, completions, s_pairs, g_pairs, reductions", [
+    (3, True, 3, 275, 34, 5223),
+    (2, False, 1, 18, 3, 53),
+], ids=["053", "053-rejected-over-qq"])
+def test_certificate_work(work, monkeypatch, k, accepted, completions, s_pairs, g_pairs,
+                          reductions):
+    """A certificate completes its prefix once, over ZZ, and every later
+    stage reads that strong basis.  Prefix 053 completes three times: the
+    strong basis, the seeded saturation and the seeded basis mod 2.  Its
+    first two generators fail over QQ after the strong basis alone.  The
+    oracle answers from the cache a first call filled, so only the
+    certificate's own work is counted."""
+    stats, spent = work
+    variables, texts = CERTIFY_PREFIXES["053"]
+    ring_ = ring(tuple(variables), DegRevLex(), ZZ)
+    gens = [parse_polynomial(text, ring_) for text in texts]
+    oracle = IdealOracle(gens)
+    main_lemma_check(oracle, gens[:k])
+    calls = [0]
+    complete = groebner._complete
+
+    def counting_complete(*args, **kwargs):
+        calls[0] += 1
+        return complete(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_complete", counting_complete)
+    before = spent()
+    cert = main_lemma_check(oracle, gens[:k], stats)
+    assert (cert.q_match, cert.accepted, calls[0]) == (accepted, accepted, completions)
+    assert {name: count - before[name] for name, count in spent().items()} == {
+        "s_pair_z": s_pairs, "g_pair_z": g_pairs, "s_polynomial_field": 0,
+        "reductions": reductions}
