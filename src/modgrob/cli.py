@@ -32,15 +32,11 @@ MISMATCH = 1
 OK = 0
 
 
-class _UsageError(ModGrobError):
-    pass
-
-
 def _read(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
+        raise ModGrobError(f"cannot read {path}: {exc}")
     return parse_problem(text)
 
 
@@ -53,7 +49,7 @@ def _load(args, command=None, domain=None):
     ring_ = RingDescriptor(declared.variables, args.order or declared.order,
                            domain or declared.domain)
     if command and not isinstance(ring_.domain, IntegerDomain):
-        raise _UsageError(f"{command} needs a problem over ZZ")
+        raise ModGrobError(f"{command} needs a problem over ZZ")
     return problem, ring_
 
 
@@ -67,7 +63,7 @@ def _ideal(problem, name, ring_):
     try:
         polys = problem.ideal(name)
     except KeyError as exc:
-        raise _UsageError(exc.args[0]) from None
+        raise ModGrobError(exc.args[0]) from None
     return _retarget(polys, ring_)
 
 
@@ -109,12 +105,12 @@ def _oracle(args, problem, ring_, limits):
     elif args.oracle:
         other = _read(args.oracle)
         if other.ring.variables != ring_.variables or other.ring.domain != ring_.domain:
-            raise _UsageError("oracle file must declare the same variables and domain")
+            raise ModGrobError("oracle file must declare the same variables and domain")
         gens = _ideal(other, None, ring_)
     elif problem.oracle_polys is not None:
         gens = _retarget(problem.oracle_polys, ring_)
     else:
-        raise _UsageError("no oracle: add an oracle section or pass --oracle")
+        raise ModGrobError("no oracle: add an oracle section or pass --oracle")
     return IdealOracle(gens, limits)
 
 
@@ -137,7 +133,7 @@ def _cmd_solve_p(args):
     elif problem.stream is not None:
         stream = _retarget(problem.stream, ring_)
     else:
-        raise _UsageError("no stream: add a stream section or pass --stream")
+        raise ModGrobError("no stream: add a stream section or pass --stream")
     certs = []  # the rejections, then the accepted certificate
     try:
         certs.append(solve_problem_p(stream, oracle, limits, history=certs)[1])
@@ -156,15 +152,15 @@ def _cmd_solve_p(args):
 def _cmd_arnold_verify(args):
     problem, ring_ = _load(args, "arnold-verify")
     if args.mod is None:
-        raise _UsageError("arnold-verify needs --mod p (the prime)")
+        raise ModGrobError("arnold-verify needs --mod p (the prime)")
     i_gens = _ideal(problem, args.ideal, ring_)
     if "G" not in problem.ideals:
-        raise _UsageError("arnold-verify needs an ideal section named G (the candidate)")
+        raise ModGrobError("arnold-verify needs an ideal section named G (the candidate)")
     g_set = _ideal(problem, "G", ring_)
     try:
         report = arnold_conditions(i_gens, g_set, args.mod, _limits(args))
     except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ModGrobError(str(exc))
     _show(args, report, formatting.format_arnold_report, formatting.machine_arnold_report)
     return OK if report.verdict == VERIFIED else MISMATCH
 
@@ -209,6 +205,7 @@ _COMMANDS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def build_arg_parser():
     parser = argparse.ArgumentParser(
         prog="modgrob",

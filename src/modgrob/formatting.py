@@ -124,6 +124,5 @@ def machine_arnold_report(report):
     return "\n".join(lines)
 
 
-def machine_basis(basis, command="gb"):
-    return "\n".join([MACHINE_HEADER, f"command={command}",
-                      f"basis={_basis_inline(basis)}"])
+def machine_basis(basis):
+    return "\n".join([MACHINE_HEADER, "command=gb", f"basis={_basis_inline(basis)}"])

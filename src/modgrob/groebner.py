@@ -13,7 +13,6 @@ down, so one completion engine covers every domain.
 
 import bisect
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from operator import add, le, neg, sub
@@ -247,12 +246,9 @@ def s_polynomial_field(f, g):
     """(lcm / lt(f)) * f - (lcm / lt(g)) * g; the leading terms cancel."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("s-polynomial of a zero polynomial")
-    dom = f.ring.domain
-    if not dom.is_field:
+    if not f.ring.domain.is_field:
         raise DomainError("s_polynomial_field needs a field domain")
-    # over a field, 1 divided by a lead coefficient is its inverse
-    return _pair_polynomial(f, dom.coeff_divmod(1, leading_coefficient(f))[0],
-                            g, -dom.coeff_divmod(1, leading_coefficient(g))[0])
+    return _pair_polynomial(monic(f), 1, monic(g), -1)
 
 
 def s_pair_z(f, g):
@@ -334,11 +330,12 @@ class _Pairs:
     order both completion and the completeness check visit them.
 
     ``add(g)`` appends g to ``elements`` and queues its pairs.  Iterating
-    pops pairs by the order key of their lcm, S-pairs before G-pairs, then
-    in creation order, sees pairs queued meanwhile, and yields the pair
-    polynomial, ``s_pair_z`` or ``g_pair_z`` (looked up by name at each
-    call), of each pair no criterion skips.  Only those are charged to
-    ``stats``, the run's ``RunStats``, which the caller's reductions share.
+    pops pairs (i, j), i < j, by the order key of their lcm, S-pairs before
+    G-pairs, then by (j, i), the order they were queued in, sees pairs
+    queued meanwhile, and yields the pair polynomial, ``s_pair_z`` or
+    ``g_pair_z`` (looked up by name at each call), of each pair no criterion
+    skips.  Only those are charged to ``stats``, the run's ``RunStats``,
+    which the caller's reductions share.
 
     Write lt_i = c_i m_i, every c_i taken as 1 over a field, and T_ij =
     lcm(c_i, c_j) lcm(m_i, m_j).  The criteria are Gebauer and Moeller's
@@ -415,7 +412,6 @@ class _Pairs:
         self.queue = []
         self.pending = set()  # queued S-pairs (i, j), i < j
         self.witness = {}  # redundant element -> the element that made it so
-        self.counter = itertools.count()
 
     def add(self, g):
         j = len(self.elements)
@@ -429,10 +425,10 @@ class _Pairs:
             lcm = monomial_lcm(mf, mg)
             lcm_key = self.key(lcm)
             if not (lcm == monomial_mul(mf, mg) and math.gcd(a, b) == 1):
-                heapq.heappush(self.queue, (lcm_key, S_PAIR, next(self.counter), i, j, lcm))
+                heapq.heappush(self.queue, (lcm_key, S_PAIR, j, i, lcm))
                 self.pending.add((i, j))
             if b % a and a % b:
-                heapq.heappush(self.queue, (lcm_key, G_PAIR, next(self.counter), i, j, lcm))
+                heapq.heappush(self.queue, (lcm_key, G_PAIR, j, i, lcm))
             if self.chain and _strongly_divides((b, mg), (a, mf)):
                 self.witness[i] = j
         self.leads.append((b, mg))
@@ -449,7 +445,7 @@ class _Pairs:
     def __iter__(self):
         leads, pending = self.leads, self.pending
         while self.queue:
-            _, kind, _, i, j, lcm = heapq.heappop(self.queue)
+            _, kind, j, i, lcm = heapq.heappop(self.queue)
             if kind == S_PAIR:
                 c = math.lcm(leads[i][0], leads[j][0])
                 skip = self.chain and any(

@@ -289,7 +289,7 @@ INCOMPLETE = ([P("x2+y2", R_XY), P("xy", R_XY), P("y3", R_XY)],
 
 @given(arnold_inputs())
 @example(INCOMPLETE)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_conditions_match_all_pairs_reference(case):
     i_gens, g_set, p = case
     try:

@@ -70,7 +70,7 @@ def _run(gens):
 
 @given(ideals())
 @example(_saturation_053())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_one_pass_matches_fixed_point(gens):
     try:
         with mock.patch.object(groebner, "_canonicalize", fixed_point_canonicalize):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgrob.cli import main
+from modgrob.cli import build_arg_parser, main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -55,6 +55,16 @@ def test_gb_json_format(capsys):
     assert lines[0] == "modgrob-machine 1"
     assert lines[1] == "command=gb"
     assert lines[2] == "basis=x,3y,3z+2y,y^2"
+
+
+def test_parser_is_built_once_and_each_call_keeps_its_format(capsys):
+    """main reuses one parser; a --json call leaves none of its choice behind."""
+    assert build_arg_parser() is build_arg_parser()
+    path = CORPUS / "chain_z9_dp.mg"
+    for _ in range(2):
+        assert run(capsys, "gb", path, "--json") == (
+            0, "modgrob-machine 1\ncommand=gb\nbasis=x,3y,3z+2y,y^2\n", "")
+        assert run(capsys, "gb", path) == (0, "x\n3y\n3z+2y\ny^2\n", "")
 
 
 def test_torsion_command(capsys):
@@ -526,7 +536,7 @@ _FUZZ_VALUES = {
 }
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(command=st.sampled_from(sorted(_READS)), name=st.sampled_from(_FUZZ_FILES),
        flags=st.fixed_dictionaries({}, optional={
            flag: st.sampled_from(values) for flag, values in _FUZZ_VALUES.items()}),
@@ -593,7 +603,7 @@ def _problem_files(draw):
     return text
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(text=_problem_files(), command=st.sampled_from(sorted(_READS)),
        mod=st.sampled_from(["2", "3", "4", "32003"]))
 def test_any_problem_file_ends_in_an_exit_code(tmp_path_factory, text, command, mod):

@@ -241,7 +241,7 @@ def test_gb_equal_requires_reduced():
 
 
 @given(sts.ring_and_polys(count=3, domains=(ZZ, QQ), max_degree=2, max_coeff=5))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_reduced_basis_unique_under_permutation(data):
     ring_, polys = data
     if all(p.is_zero for p in polys):
@@ -253,7 +253,7 @@ def test_reduced_basis_unique_under_permutation(data):
 
 
 @given(sts.ring_and_polys(count=2, domains=(ZZ,), max_degree=2, max_coeff=5))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_completion_soundness_and_containment(data):
     _, polys = data
     if all(p.is_zero for p in polys):
@@ -266,7 +266,7 @@ def test_completion_soundness_and_containment(data):
 
 
 @given(sts.ring_and_polys(count=2, domains=(ZZ,), max_degree=2, max_coeff=5))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_agreement_over_q(data):
     _, polys = data
     if all(p.is_zero for p in polys):

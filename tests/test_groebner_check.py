@@ -110,7 +110,7 @@ def test_not_a_basis(polys):
 # primitive, its S-pairs reduce to zero by pseudo-division only: integer
 # division leaves 3yx2, which the lead term 4y of 4y+5x2 cannot cancel.
 @example(_polys(QQ, Lex(), "-4/3y2x2+3/4yx2", "2/5y+1/2x2", "x4"))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_check_matches_all_pairs_reference(polys):
     assert is_groebner_basis(polys) == reference_is_groebner_basis(polys)
 

@@ -202,7 +202,7 @@ def streamed_prefixes(draw):
     return gens, draw(st.integers(min_value=1, max_value=len(gens)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(streamed_prefixes())
 @example(([P("x2"), P("x")], 1))   # rejected over QQ
 @example(([P("2x"), P("3x")], 1))  # passes over QQ, rejected mod 3

@@ -90,7 +90,7 @@ def _both(compute):
 @example(CHAIN_TRAPS[1])
 @example(CHAIN_TRAPS[2])
 @example(CHAIN_TRAPS[3])
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_strong_basis_matches_reference(gens):
     expected, basis = _both(lambda: buchberger_z(gens, BUDGET()))
     assert basis.elements == expected.elements
@@ -99,7 +99,7 @@ def test_strong_basis_matches_reference(gens):
 
 @given(zz_ideals(), st.sampled_from([4, 6, 12, 27]))
 @example(CHAIN_TRAPS[0], 4)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_basis_mod_m_matches_reference(gens, m):
     expected, basis = _both(lambda: gb_mod_m(gens, m, BUDGET()))
     assert basis.elements == expected.elements
@@ -109,7 +109,7 @@ def test_basis_mod_m_matches_reference(gens, m):
 
 @given(zz_ideals())
 @example(CHAIN_TRAPS[0])
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_saturation_matches_reference(gens):
     expected, picked = _both(lambda: torsion_exponent(gens, BUDGET()).saturation_basis)
     assert picked == expected
@@ -121,7 +121,7 @@ def test_saturation_matches_reference(gens):
 @example(CHAIN_TRAPS[1], 32003)
 @example(CHAIN_TRAPS[2], 2)
 @example(CHAIN_TRAPS[3], 32003)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_prime_field_basis_matches_reference(gens, p):
     """Completion over ZZ/p runs the chain criterion on monic elements."""
     ring_ = with_domain(gens[0].ring, ModularDomain(p))
@@ -170,7 +170,7 @@ REDUNDANCY_TRAPS = [
 @given(zz_ideals(), st.sampled_from([0, 2, 3, 4, 8, 12, 32003]))
 @example(REDUNDANCY_TRAPS[0], 0)
 @example(REDUNDANCY_TRAPS[1], 4)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_redundant_elements_match_reference(gens, m):
     """Over ZZ (m = 0), ZZ/p and ZZ/m, where some element became redundant."""
     prime = m in (2, 3, 32003)

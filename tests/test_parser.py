@@ -289,7 +289,7 @@ def _problem_texts(draw):
     return text
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_problem_texts())
 @example("ring r = ZZ, (x), lp; ideal I = x // no newline")
 @example("ring r = ZZ/2, (z, y, x), dp; ideal I = (x+y+z+1)^16, (x+y+z+1)^16;")

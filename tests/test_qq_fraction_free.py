@@ -74,7 +74,7 @@ def _run(gens):
 @example(_ideal(DegRevLex(), "-3/2y2+1/3x", "6zx-4/5y", "-10z2+15"))
 @example(_ideal(Lex(), "-7/4zy+7/2x2", "1/12yx-1/6", "-6z2x+9y"))
 @example(_ideal(Block((0,), DegRevLex(), Lex()), "2/3zx-1/2y", "-4y2+6x", "z2-1/5"))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_fraction_free_completion_matches_fraction_path(gens):
     try:
         with mock.patch.object(groebner, "_complete", fraction_complete):

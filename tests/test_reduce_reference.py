@@ -54,7 +54,7 @@ def division_problems(draw, domains):
 
 
 @given(division_problems((ZZ, QQ, F7, Z12)))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_normal_form_matches_reference(problem):
     f, reducers = problem
     _, expected = reference_reduce(f, reducers)

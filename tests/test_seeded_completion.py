@@ -34,7 +34,7 @@ BUDGET = partial(RunStats, max_pairs=1500)  # fresh per call
 
 @given(zz_ideals(), st.sampled_from([2, 4, 8, 3, 9, 27, 25]))
 @example(CHAIN, 4)  # multipliers 27, 9 and 3: the report asks for ZZ/27
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_seeded_certificate_stages_match_unseeded(gens, prime_power):
     try:
         basis = buchberger_z(gens, BUDGET())

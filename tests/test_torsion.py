@@ -62,7 +62,7 @@ def test_chain_contraction_is_full_linear_ideal():
 
 @given(sts.ring_and_polys(count=2, domains=(ZZ,), max_degree=2, max_coeff=5,
                           order_pool=(DegRevLex(),)))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_contraction_generates_same_rational_ideal(data):
     ring_, polys = data
     if all(p.is_zero for p in polys):
@@ -149,7 +149,7 @@ def test_multiplier_needs_zz():
 @given(sts.ring_and_polys(count=3, domains=(ZZ,), max_degree=2, max_coeff=5,
                           order_pool=(DegRevLex(), Lex())))
 @example((R3, CHAIN))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_multipliers_match_cofactor_division(data):
     _, polys = data
     if all(p.is_zero for p in polys):
@@ -216,7 +216,7 @@ def test_generator_order_does_not_matter():
 
 @given(sts.ring_and_polys(count=2, domains=(ZZ,), max_degree=2, max_coeff=4,
                           order_pool=(DegRevLex(),)))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_exponent_invariants_random(data):
     _, polys = data
     if all(p.is_zero for p in polys):
