@@ -9,6 +9,7 @@ from .arnold import (
 )
 from .errors import (
     DomainError,
+    ExponentOverflow,
     InvalidLimit,
     ModGrobError,
     NonMember,
@@ -87,5 +88,5 @@ __all__ = [
     "change_domain", "homogenize", "is_homogeneous", "leading_coefficient",
     "leading_monomial", "leading_term", "monic", "monomial_div",
     "monomial_divides", "monomial_lcm", "ring", "TorsionReport",
-    "minimal_multiplier", "torsion_exponent",
+    "minimal_multiplier", "torsion_exponent", "ExponentOverflow",
 ]

@@ -31,7 +31,7 @@ extra variable then breaks spurious agreements through condition 3.
 from dataclasses import dataclass
 
 from .errors import ZeroPolynomial
-from .groebner import buchberger_field, is_groebner_basis, normal_form
+from .groebner import _Packed, buchberger_field, is_groebner_basis, normal_form
 from .intarith import is_prime
 from .polyring import (
     QQ,
@@ -95,33 +95,24 @@ def arnold_conditions(i_gens, g_set, p, limits=None):
         if g.is_zero:
             raise ZeroPolynomial("zero polynomial in the candidate set")
 
-    # (1) G mod p is a Groebner basis of I mod p: it lies in I mod p, and
-    # its lead monomials generate the lead ideal of I mod p, which those of
-    # the reduced basis of I mod p generate.
+    # Each basis is packed once for all the normal forms against it.
     g_p = _nonzero_images_mod_p(g_set, p)
+    ring_p = with_domain(ring_, ModularDomain(p))
     i_p_basis = buchberger_field([change_domain(f, ModularDomain(p)) for f in i_gens],
-                                 limits, ring=with_domain(ring_, ModularDomain(p)))
-    cond1 = (all(normal_form(g, i_p_basis, limits).is_zero for g in g_p)
+                                 limits, ring=ring_p)
+    i_p_packed = _Packed(ring_p, i_p_basis.elements)
+    cond1 = (all(normal_form(g, i_p_packed, limits).is_zero for g in g_p)
              and all(any(monomial_divides(leading_monomial(g), leading_monomial(h))
                          for g in g_p)
                      for h in i_p_basis))
-
-    # (2) G over QQ is a Groebner basis of the ideal it generates (G itself
-    # need not be reduced; only completeness is demanded).
+    # G itself need not be reduced; only completeness is demanded.
     g_q = [change_domain(g, QQ) for g in g_set]
     cond2 = is_groebner_basis(g_q, limits)
-
-    # (3) QQ I lies inside the QQ-ideal generated by G.  When (2) holds,
-    # G over QQ already is a Groebner basis of that ideal.
-    g_q_basis = g_q
-    if not cond2:
-        g_q_basis = buchberger_field(g_q, limits, ring=with_domain(ring_, QQ))
-    cond3 = all(normal_form(change_domain(f, QQ), g_q_basis, limits).is_zero for f in i_gens)
-
-    # (4) Lead monomials agree as sets, coefficients ignored.
-    lm_g = {leading_monomial(g) for g in g_set}
-    lm_gp = {leading_monomial(g) for g in g_p}
-    cond4 = lm_g == lm_gp
+    ring_q = with_domain(ring_, QQ)
+    g_q_basis = g_q if cond2 else buchberger_field(g_q, limits, ring=ring_q).elements
+    g_q_packed = _Packed(ring_q, g_q_basis)
+    cond3 = all(normal_form(change_domain(f, QQ), g_q_packed, limits).is_zero for f in i_gens)
+    cond4 = {leading_monomial(g) for g in g_set} == {leading_monomial(g) for g in g_p}
 
     homogeneous = all(is_homogeneous(f) for f in i_gens + g_set)
     conditions = (cond1, cond2, cond3, cond4)

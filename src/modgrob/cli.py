@@ -69,7 +69,7 @@ def _ideal(problem, name, ring_):
 
 def _limits(args):
     """The command's one budget, which every call it makes draws on."""
-    return RunStats(args.max_pairs)
+    return RunStats(args.max_pairs, args.max_steps)
 
 
 def _show(args, value, human, machine):
@@ -187,6 +187,8 @@ _FLAGS = {
     "--max-pairs": dict(type=int, dest="max_pairs", default=RunStats().max_pairs,
                         help="pair budget of the whole command, oracle included "
                              "(default %(default)s)"),
+    "--max-steps": dict(type=int, dest="max_steps", default=RunStats().max_reductions,
+                        help="reduction-step budget of the whole command (default %(default)s)"),
     "--json": dict(action="store_true", help="line-oriented machine-readable output"),
 }
 
@@ -214,7 +216,7 @@ def build_arg_parser():
     for name, handler, doc, flags in _COMMANDS:
         sub = subs.add_parser(name, help=doc)
         sub.add_argument("file", help="problem file")
-        for flag in flags + ("--max-pairs", "--json"):
+        for flag in flags + ("--max-pairs", "--max-steps", "--json"):
             sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=handler)
     return parser

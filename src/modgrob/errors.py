@@ -39,7 +39,11 @@ class OracleFailure(ModGrobError):
 
 
 class InvalidLimit(ModGrobError):
-    """A ``RunStats`` cap (``--max-pairs``, the whole command's) is negative."""
+    """A ``RunStats`` cap (``--max-pairs`` or ``--max-steps``) is negative."""
+
+
+class ExponentOverflow(ModGrobError):
+    """A monomial's total degree leaves the packed fields of the division kernel."""
 
 
 class ResourceLimitExceeded(ModGrobError):

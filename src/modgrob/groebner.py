@@ -14,11 +14,14 @@ down, so one completion engine covers every domain.
 import bisect
 import heapq
 import math
+import struct
 from dataclasses import dataclass
-from operator import add, le, neg, sub
+from functools import lru_cache
+from operator import itemgetter, le, mul, sub
 
 from .errors import (
     DomainError,
+    ExponentOverflow,
     InvalidLimit,
     ResourceLimitExceeded,
     RingMismatch,
@@ -108,24 +111,65 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 # reduction
 
-def _check_reducers(f, reducers):
-    for g in reducers:
-        if not isinstance(g, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(g).__name__}")
-        if g.ring != f.ring:
-            raise RingMismatch("reducer ring differs from the dividend's")
-        if g.is_zero:
+_FIELD = 64  # bits per packed digit; total degrees stay below 2^(_FIELD - 1)
+
+
+@lru_cache(maxsize=None)
+def _packing(order, arity):
+    """(weights, fields, guard) that pack monomials for ``_reduce``: K(e) is
+    sum(map(mul, e, weights)), E(e) ``fields`` packing (*e, sum(e))."""
+    key = monomial_key(order)
+    weights = tuple(sum(d << _FIELD * k for k, d in enumerate(reversed(
+        key(tuple(int(i == j) for j in range(arity)))))) for i in range(arity))
+    guard = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(arity + 1))
+    return weights, struct.Struct(f"<{arity}Qq"), guard
+
+
+def _packed_terms(f):
+    """(c, K, E) of each term of f; the fields refuse a negative exponent
+    and a total degree of 2^63 or more."""
+    weights, fields, _ = _packing(f.ring.order, f.ring.arity)
+    pack, from_bytes = fields.pack, int.from_bytes
+    try:
+        return [(c, sum(map(mul, e, weights)), from_bytes(pack(*e, sum(e)), "little"))
+                for c, e in f.terms]
+    except struct.error:
+        raise ExponentOverflow("a monomial leaves the packed exponent fields") from None
+
+
+class _Packed(list):
+    """Nonzero polynomials of ``ring``, each packed once as ``_reduce`` reads
+    it: (E, K, lead coefficient, limit, tail (c, K, E) terms), limit the
+    least shift E that would carry the largest tail E's total degree to 2^63."""
+
+    def __init__(self, ring_, polys=()):
+        self.ring = _common_ring(polys, ring_)
+        if any(g.is_zero for g in polys):
             raise ZeroPolynomial("zero polynomial in reducer list")
+        super().__init__(map(self.pack, polys))
+
+    def pack(self, g):
+        (c, K, E), *tail = _packed_terms(g)
+        top = _FIELD * self.ring.arity
+        room = (1 << _FIELD - 1) - (max((tE for *_, tE in tail), default=0) >> top)
+        return E, K, c, room << top, tuple(tail)
+
+
+def _packed_for(f, basis):
+    """``basis`` as f's reducers: a ``_Packed`` of f's ring as it is, else packed now."""
+    same = isinstance(basis, _Packed) and basis.ring == f.ring
+    return basis if same else _Packed(f.ring, list(basis))
 
 
 def _reduce(f, reducers, step, pseudo=False):
     """Shared division loop; deterministic: first eligible reducer wins.
 
-    Returns (multiplier, remainder): multiplier * f - remainder is a
-    combination of the reducers with polynomial cofactors over f's domain,
-    an integer combination over ZZ.  A term is moved to the remainder only
-    once no reducer changes it, which over ZZ / ZZ/m means its coefficient
-    is the canonical residue for every applicable lead coefficient.
+    ``reducers`` is a ``_Packed`` list, or a slice of one.  Returns
+    (multiplier, remainder): multiplier * f - remainder is a combination of
+    the reducers with polynomial cofactors over f's domain, an integer
+    combination over ZZ.  A term is moved to the remainder only once no
+    reducer changes it, which over ZZ / ZZ/m means its coefficient is the
+    canonical residue for every applicable lead coefficient.
 
     ``pseudo`` divides integer polynomials as QQ would, by the first
     reducer whose lead monomial divides: the working polynomial and the
@@ -134,36 +178,48 @@ def _reduce(f, reducers, step, pseudo=False):
     The multiplier is the product of these scales, 1 without ``pseudo``;
     ``step`` is called once per step.
 
-    The current largest monomial comes from a lazy max-heap (entries whose
-    monomial dropped out of the working dict are skipped on pop).  Each
-    monomial's negated order key is computed once per call and kept in a
-    dict that dies with the call.  Monomial arithmetic is inlined as
-    ``map`` over ``operator`` functions, and new coefficients are only
-    reduced mod m over ZZ/m: int and Fraction arithmetic is already
-    canonical over ZZ and QQ.
+    Monomials are packed ints (Bachmann and Schoenemann, ISSAC 1998).  An
+    order key is linear in the exponents e (Lex is e, DegRevLex (sum(e),
+    -e_n, ..., -e_1), a Block two keys concatenated), and K(e) packs its
+    digits in balanced base 2^64: K(a b) = K(a) + K(b).  Each digit is an
+    exponent, its negative or a sum of exponents, so while total degrees
+    stay below 2^63, |digit| < 2^63: K is injective, and the first
+    differing digit outweighs all lower ones, so integer order on K is the
+    term order.  E packs e_1 .. e_n and sum(e) in 64-bit fields below 2^63:
+    a divides b iff no field of E(b) - E(a) has its top bit set, as the
+    lowest field with a_i > b_i borrows and holds 2^64 + b_i - a_i >= 2^63.
+    Exponents enter at most at ``_MAX_EXPONENT`` = 2^31 but grow in Lex and
+    Block reductions (x y^N by x - y^N leaves y^2N): a monomial past the
+    bound, given or about to be made by a step, raises ``ExponentOverflow``
+    and never gives an inexact remainder.  The working polynomial is keyed
+    by K, a lazy max-heap holds -K, and a step with shift s moves a tail
+    term to tK + sK, recording tE + sE for each new monomial, the only ones
+    popped.  New coefficients are only reduced mod m over ZZ/m: int and
+    Fraction arithmetic is already canonical over ZZ and QQ.  Only
+    remainder terms are unpacked.
     """
     dom = f.ring.domain
     coeff_divmod = dom.coeff_divmod
     modulus = dom.modulus if isinstance(dom, ModularDomain) else None
-    key = monomial_key(f.ring.order)
-    leads = []
-    for g in reducers:
-        lc, lm = leading_term(g)
-        leads.append((lm, lc, g.terms[1:]))
-    work = {mono: c for c, mono in f.terms}
-    negkeys = {mono: tuple(map(neg, key(mono))) for mono in work}
-    heap = [(nk, mono) for mono, nk in negkeys.items()]
+    _, fields, guard = _packing(f.ring.order, f.ring.arity)
+    work, exps = {}, {}
+    for c, K, E in _packed_terms(f):
+        work[K] = c
+        exps[K] = E
+    heap = [-K for K in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
     rem = []
     multiplier = 1
     while heap:
-        negkey, mono = heappop(heap)
-        c = work.get(mono)
+        K = -heappop(heap)
+        c = work.get(K)
         if c is None:
             continue
-        for gm, gc, gtail in leads:
-            if not all(map(le, gm, mono)):
+        E = exps[K]
+        for gE, gK, gc, limit, gtail in reducers:
+            sE = E - gE
+            if sE & guard:
                 continue
             if pseudo:
                 g = math.gcd(c, gc)
@@ -177,12 +233,14 @@ def _reduce(f, reducers, step, pseudo=False):
                 q, _ = coeff_divmod(c, gc)
                 if q == 0:
                     continue
+            if sE >= limit:
+                raise ExponentOverflow("a reduction step leaves the packed exponent fields")
             step()
-            # The lead term lands on mono itself, every other term below it.
+            # The lead term lands on K itself, every other term below it.
             c -= q * gc
-            shift = tuple(map(sub, mono, gm))
-            for tc, tm in gtail:
-                target = tuple(map(add, tm, shift))
+            sK = K - gK
+            for tc, tK, tE in gtail:
+                target = tK + sK
                 old = work.get(target)
                 if old is None:
                     v = -q * tc
@@ -190,10 +248,8 @@ def _reduce(f, reducers, step, pseudo=False):
                         v %= modulus
                     if v != 0:
                         work[target] = v
-                        nk = negkeys.get(target)
-                        if nk is None:
-                            nk = negkeys[target] = tuple(map(neg, key(target)))
-                        heappush(heap, (nk, target))
+                        exps[target] = tE + sE
+                        heappush(heap, -target)
                 else:
                     v = old - q * tc
                     if modulus is not None:
@@ -204,26 +260,26 @@ def _reduce(f, reducers, step, pseudo=False):
                         work[target] = v
             break
         else:
-            rem.append((c, mono))
-            del work[mono]
+            rem.append((c, E))
+            del work[K]
             continue
         if modulus is not None:
             c %= modulus
         if c == 0:
-            del work[mono]
+            del work[K]
         else:
             # partially reduced lead coefficient: revisit the same monomial
-            work[mono] = c
-            heappush(heap, (negkey, mono))
-    return multiplier, Polynomial(f.ring, tuple(rem))
+            work[K] = c
+            heappush(heap, -K)
+    n, width = f.ring.arity, fields.size
+    return multiplier, Polynomial(f.ring, tuple(
+        (c, fields.unpack(E.to_bytes(width, "little"))[:n]) for c, E in rem))
 
 
 def normal_form(f, basis, limits=None):
-    """Fully reduce f against a list of polynomials (or a GroebnerBasis),
+    """Fully reduce f against a list of polynomials, a GroebnerBasis or a ``_Packed``,
     charging each step to ``limits`` or a fresh ``RunStats`` as a step outside completion."""
-    reducers = list(basis)
-    _check_reducers(f, reducers)
-    return _reduce(f, reducers, (limits or RunStats()).step)[1]
+    return _reduce(f, _packed_for(f, basis), (limits or RunStats()).step)[1]
 
 
 def ideal_member(f, basis):
@@ -321,7 +377,7 @@ def _common_ring(gens, ring_):
         if not isinstance(g, Polynomial):
             raise TypeError(f"expected Polynomial, got {type(g).__name__}")
         if g.ring != ring_:
-            raise RingMismatch("generators live in different rings")
+            raise RingMismatch("polynomials live in different rings")
     return ring_
 
 
@@ -473,9 +529,9 @@ def _complete(gens, ring_, limits, seeded=0):
     unchanged, and ``_Pairs`` treats no pair between two of them.  Only
     callers that built that basis themselves pass it.
 
-    Over QQ the elements are primitive integer polynomials (content
-    removed, lead coefficient positive) that reduce by pseudo-division, and
-    they become monic ``Fraction`` polynomials only for ``_canonicalize``.
+    Over QQ the elements are ``_primitive`` integer polynomials that reduce
+    by pseudo-division and become monic ``Fraction`` polynomials only for
+    ``_canonicalize``.
     Every working polynomial is a nonzero rational multiple of the one
     ``Fraction`` arithmetic would hold, so zero tests, lead monomials,
     reducer choices, pairs, counts and the reduced basis are those of the
@@ -483,19 +539,16 @@ def _complete(gens, ring_, limits, seeded=0):
     """
     pseudo = isinstance(ring_.domain, RationalDomain)
     normalize = _primitive if pseudo else _normalizer(ring_)
-    key = monomial_key(ring_.order)
-    sort_key = _poly_sort_key(key)
-    # The chain criterion runs in every completion but the fraction-free
-    # one over QQ, whose pair counts perfbench/selftest.py still pins.
     pairs = _Pairs(ring_, limits, chain=not pseudo, seeded=seeded)
-    reducers = []  # the elements ascending, so that smaller reducers apply first
+    # the elements packed as they join, ascending by lead term: smaller reducers apply first
+    reducers = _Packed(ring_)
 
     def add_reduced(f):
         """Reduce f; a nonzero remainder joins the basis along with its pairs."""
         _, r = _reduce(f, reducers, pairs.stats.reduction, pseudo)
         if not r.is_zero:
             r = normalize(r)
-            bisect.insort(reducers, r, key=sort_key)
+            bisect.insort(reducers, reducers.pack(r), key=itemgetter(1, 2))
             pairs.add(r)
 
     for g in gens:
@@ -506,10 +559,10 @@ def _complete(gens, ring_, limits, seeded=0):
     G = pairs.elements
     if pseudo:
         G = [change_domain(g, ring_.domain) for g in G]
-    return _canonicalize(G, ring_, key, pairs.stats)
+    return _canonicalize(G, ring_, pairs.stats)
 
 
-def _canonicalize(G, ring_, key, stats):
+def _canonicalize(G, ring_, stats):
     """Minimize and (strongly) tail-reduce a complete basis in one pass.
 
     G is complete (strong over ZZ).  For kept g, h with leads c*m, d*m'
@@ -523,14 +576,17 @@ def _canonicalize(G, ring_, key, stats):
     completion's ``RunStats``, as steps outside completion.
     """
     normalize = _normalizer(ring_)
-    G = sorted((normalize(g) for g in G if not g.is_zero), key=_poly_sort_key(key))
+    G = sorted((normalize(g) for g in G if not g.is_zero),
+               key=_poly_sort_key(monomial_key(ring_.order)))
     kept = []
     for g in G:
         lt = leading_term(g)
         if not any(_strongly_divides(leading_term(h), lt) for h in kept):
             kept.append(g)
+    packed = _Packed(ring_, kept)
     for i in range(len(kept)):
-        kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], stats.step)[1]
+        kept[i] = _reduce(kept[i], packed[:i] + packed[i + 1:], stats.step)[1]
+        packed[i] = packed.pack(kept[i])  # later elements reduce by its new tail
     return GroebnerBasis(ring_, tuple(reversed(kept)), reduced=True)
 
 
@@ -592,19 +648,14 @@ def _extend_mod_m(basis, m, limits):
 def _basis_over_q(basis, limits):
     """The reduced basis of QQ J from the strong basis of J, a Groebner basis of QQ J."""
     ring_ = with_domain(basis.ring, QQ)
-    return _canonicalize([change_domain(g, QQ) for g in basis], ring_,
-                         monomial_key(ring_.order), limits or RunStats())
+    return _canonicalize([change_domain(g, QQ) for g in basis], ring_, limits or RunStats())
 
 
 def _image_mod(base, m):
     """The reduced basis mod m from the strong basis of <J, m> over ZZ."""
-    target = ModularDomain(m)
-    elements = []
-    for g in base.elements:
-        image = change_domain(g, target)
-        if not image.is_zero:
-            elements.append(image)
-    return GroebnerBasis(with_domain(base.ring, target), tuple(elements), reduced=True)
+    images = (change_domain(g, ModularDomain(m)) for g in base.elements)
+    return GroebnerBasis(with_domain(base.ring, ModularDomain(m)),
+                         tuple(g for g in images if not g.is_zero), reduced=True)
 
 
 def gb_equal(g1, g2):
@@ -630,16 +681,16 @@ def is_groebner_basis(polys, limits=None):
     polys = [p for p in polys if not p.is_zero]
     if not polys:
         return True
-    ring_ = polys[0].ring
-    _check_reducers(polys[0], polys)
+    ring_ = _common_ring(polys, None)
     pseudo = isinstance(ring_.domain, RationalDomain)
     normalize = _primitive if pseudo else _normalizer(ring_)
     pairs = _Pairs(ring_, limits, chain=True)
     polys = [normalize(p) for p in polys]
     for p in polys:
         pairs.add(p)
+    reducers = _Packed(polys[0].ring, polys)
     for pair in pairs:
-        _, r = _reduce(pair, polys, pairs.stats.reduction, pseudo)
+        _, r = _reduce(pair, reducers, pairs.stats.reduction, pseudo)
         if not r.is_zero:
             return False
     return True

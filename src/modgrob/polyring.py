@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, neg
+from operator import add, le, neg
 
 from .errors import DomainError, RingMismatch, ZeroPolynomial
 from .intarith import is_prime
@@ -161,16 +161,16 @@ def monomial_key(order):
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return tuple(map(add, a, b))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b, strict=True))
+    return tuple(map(max, a, b))
 
 
 def monomial_divides(a, b):
-    """True when a divides b (componentwise <=)."""
-    return all(x <= y for x, y in zip(a, b, strict=True))
+    """True when a divides b (componentwise <=); a and b of one arity."""
+    return all(map(le, a, b))
 
 
 def monomial_div(a, b):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import groebner
 from .errors import DomainError, NonMember
-from .groebner import RunStats, _check_reducers, _reduce, buchberger_z
+from .groebner import RunStats, _Packed, _packed_for, _reduce, buchberger_z
 from .intarith import factorize
 from .polyring import (
     Block,
@@ -74,15 +74,14 @@ def _contract(basis_z, limits=None):
 def minimal_multiplier(g, j_basis_z, limits=None):
     """Least m_g >= 1 with m_g * g in J, for g in QQ J intersect ZZ[X].
 
-    ``j_basis_z`` is the reduced strong basis of J, so also a Groebner
-    basis of QQ J: pseudo-division of g by it ends in remainder 0 with a
-    multiplier k0 for which k0 * g is an integer combination of the basis,
-    hence in J.  The valid multipliers form an ideal of ZZ, so stripping
-    primes of k0 while membership holds reaches the minimum.  Steps are
-    charged to ``limits`` or a fresh ``RunStats`` as steps outside completion.
+    ``j_basis_z`` is the reduced strong basis of J (or its ``_Packed``), so
+    also a Groebner basis of QQ J: pseudo-division of g by it ends in
+    remainder 0 with a multiplier k0 for which k0 * g is an integer
+    combination of the basis, hence in J.  The valid multipliers form an
+    ideal of ZZ, so stripping primes of k0 while membership holds reaches
+    the minimum.  Steps go to ``limits`` or a fresh ``RunStats``, outside completion.
     """
-    reducers = list(j_basis_z)
-    _check_reducers(g, reducers)
+    reducers = _packed_for(g, j_basis_z)
     if not isinstance(g.ring.domain, IntegerDomain):
         raise DomainError("minimal multipliers work over ZZ")
     step = (limits or RunStats()).step
@@ -102,9 +101,8 @@ def torsion_report(basis_z, limits=None):
     saturation is seeded with it and the multipliers divide by it.
     """
     contracted = _contract(basis_z, limits)
-    multipliers = []
-    for g in contracted:
-        multipliers.append((g, minimal_multiplier(g, basis_z, limits)))
+    reducers = _Packed(basis_z.ring, basis_z.elements)
+    multipliers = [(g, minimal_multiplier(g, reducers, limits)) for g in contracted]
     exponent = math.lcm(*(m for _, m in multipliers))
     return TorsionReport(exponent=exponent,
                          saturation_basis=tuple(contracted),

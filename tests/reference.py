@@ -66,6 +66,7 @@ from modgrob.groebner import (
     S_PAIR,
     GroebnerBasis,
     _canonicalize,
+    _Packed,
     _primitive,
     _reduce,
     _sign_normalized,
@@ -459,7 +460,7 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
     def add_reduced(f):
         """Reduce f; a nonzero remainder joins G along with its pairs."""
         nonlocal counter
-        _, r = _reduce(f, view.polys, budget.reduction)
+        _, r = _reduce(f, _Packed(ring_, view.polys), budget.reduction)
         if r.is_zero:
             return
         new_index = len(G)
@@ -487,18 +488,21 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
         _, kind, _, i, j = heapq.heappop(queue)
         budget.pair()
         add_reduced(pair_functions[kind](G[i], G[j]))
-    return _canonicalize(G, ring_, key, budget)
+    return _canonicalize(G, ring_, budget)
 
 
-def fixed_point_canonicalize(G, ring_, key, stats):
+def fixed_point_canonicalize(G, ring_, stats):
     """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
 
     Over a field the first pass already gives the reduced basis and the
     second only confirms it; over ZZ a tail reduction can lower a lead
     coefficient and so change which elements are minimal.  A pass that is
     not the last takes a reduction step, and every step is charged to
-    ``stats``, the completion's ``RunStats``, so the loop ends.
+    ``stats``, the completion's ``RunStats``, so the loop ends.  Its
+    signature is ``_canonicalize``'s, so that a test can patch one for the
+    other; the order key is read off the ring.
     """
+    key = monomial_key(ring_.order)
     normalize, _ = _domain_rules(ring_)
     G = [normalize(g) for g in G if not g.is_zero]
     while True:
@@ -511,7 +515,7 @@ def fixed_point_canonicalize(G, ring_, key, stats):
         stable = True
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
-            _, r = _reduce(kept[i], others, stats.step)
+            _, r = _reduce(kept[i], _Packed(ring_, others), stats.step)
             r = normalize(r)
             if r != kept[i]:
                 stable = False

@@ -41,17 +41,23 @@ def rings(draw, domains=(ZZ, QQ), allow_block=False, order_pool=None):
 
 
 @st.composite
+def bounded_monomials(draw, arity, max_degree):
+    """An exponent vector drawn by its total degree first, then split among
+    the variables at sorted cut points: no draw is filtered away."""
+    degree = draw(st.integers(min_value=0, max_value=max_degree))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=degree),
+                                min_size=arity - 1, max_size=arity - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+@st.composite
 def polynomials(draw, ring_, max_terms=4, max_degree=3, max_coeff=9,
                 allow_zero=True):
     """max_degree bounds the total degree of every term."""
-    n = ring_.arity
-    raw = draw(st.lists(
-        st.tuples(
-            st.integers(min_value=-max_coeff, max_value=max_coeff),
-            st.lists(st.integers(min_value=0, max_value=max_degree),
-                     min_size=n, max_size=n).map(tuple)),
+    terms = draw(st.lists(
+        st.tuples(st.integers(min_value=-max_coeff, max_value=max_coeff),
+                  bounded_monomials(ring_.arity, max_degree)),
         min_size=0 if allow_zero else 1, max_size=max_terms))
-    terms = [(c, m) for c, m in raw if sum(m) <= max_degree]
     poly = Polynomial.from_terms(ring_, terms)
     if not allow_zero and poly.is_zero:
         poly = Polynomial.constant(ring_, 1)

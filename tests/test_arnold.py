@@ -41,7 +41,6 @@ from modgrob.polyring import (
     Polynomial,
     ZZ,
     leading_monomial,
-    monomial_key,
     poly_scale,
     ring,
     with_domain,
@@ -59,7 +58,7 @@ def P(text, ring_=R1):
 def canonical_basis(polys):
     """The reduced basis of polys, a Groebner basis of a nonzero ideal."""
     ring_ = polys[0].ring
-    return _canonicalize(polys, ring_, monomial_key(ring_.order), RunStats())
+    return _canonicalize(polys, ring_, RunStats())
 
 
 def test_nonhomogeneous_counterexample_all_conditions_hold():

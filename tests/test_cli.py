@@ -287,6 +287,16 @@ def test_budget_spent_in_the_oracle_is_a_resource_limit(capsys):
                    "raise --max-pairs if this is intended\n")
 
 
+def test_max_steps_bounds_the_factorization_rounds(tmp_path, capsys):
+    """torsion on x times a 23-digit semiprime builds no pair, and each
+    Pollard rho round that factors the lead coefficient is a step: a small
+    --max-steps ends it where --max-pairs cannot."""
+    path = tmp_path / "rho.mg"
+    path.write_text("ring r = ZZ, (x), dp; ideal I = 30000000008600000000231x;\n")
+    argv = ("torsion", path, "--max-pairs", "5", "--max-steps", "1000")
+    assert run(capsys, *argv) == (2, "", "resource limit: reduction budget exhausted (1000)\n")
+
+
 def test_negative_max_pairs_is_usage_error(tmp_path, capsys):
     path = tmp_path / "one.mg"
     path.write_text("ring r = ZZ, (x), lp; ideal I = 2x;\n")

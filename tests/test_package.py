@@ -27,7 +27,8 @@ def test_readme_library_example_runs():
 
 def test_readme_synopsis_lists_the_flags_each_command_declares():
     """Each line of README's command-line synopsis names exactly the flags
-    its subcommand declares, besides the common --max-pairs and --json."""
+    its subcommand declares, besides the common --max-pairs, --max-steps
+    and --json."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme[readme.index("## Command line"):]
     start = section.index("```\n") + len("```\n")
@@ -35,7 +36,7 @@ def test_readme_synopsis_lists_the_flags_each_command_declares():
                 for line in section[start:section.index("```", start)].splitlines()}
     (subcommands,) = [action.choices for action in build_arg_parser()._actions
                       if isinstance(action, argparse._SubParsersAction)]
-    common = {"-h", "--help", "--max-pairs", "--json"}
+    common = {"-h", "--help", "--max-pairs", "--max-steps", "--json"}
     declared = {name: {flag for action in sub._actions for flag in action.option_strings}
                 - common for name, sub in subcommands.items()}
     assert synopsis == declared

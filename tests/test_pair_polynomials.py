@@ -13,7 +13,7 @@ on monic elements there it is ``s_polynomial_field``.
 """
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
@@ -73,9 +73,7 @@ def test_matches_merge_reference(case):
     assert _outcome(new, f, g) == _outcome(frozen, f, g)
 
 
-# About 2 in 3 draws have f or g zero and are discarded, which trips
-# hypothesis's filter_too_much check on some seeds; 300 examples still run.
-@settings(max_examples=300, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=300)
 @given(cases(((s_pair_z, s_polynomial_field, FIELDS[1:]),)))
 def test_s_pair_z_is_the_field_s_polynomial_on_monic_elements(case):
     """Over ZZ/p, for monic f and g, s_pair_z(f, g) == s_polynomial_field(f, g)."""

@@ -1,13 +1,16 @@
-"""Differential test of the division kernel against the earlier one.
+"""Differential tests of the division kernel.
 
 ``reference.reference_reduce`` is the division loop as it stood before
-the kernel inlined its monomial arithmetic, memoised order keys and
-dropped the coefficient normalisation over ZZ and QQ.  It is the
-specification: ``normal_form`` must return the same remainders,
-coefficient types included, over ZZ, QQ, F_p and ZZ/m, in Lex, DegRevLex
-and the Block order that the saturation in ``torsion`` eliminates with.
+the kernel inlined its monomial arithmetic, memoised order keys, dropped
+the coefficient normalisation over ZZ and QQ and packed its monomials into
+ints.  It is the specification: ``normal_form`` must return the same
+remainders, coefficient types included, over ZZ, QQ, F_p and ZZ/m, in Lex,
+DegRevLex and the Block order that the saturation in ``torsion``
+eliminates with.  Pseudo-division over ZZ is checked against the same
+reduction over QQ, and the packed fields' exponent bound on both sides.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +20,15 @@ from modgrob import (
     ZZ,
     Block,
     DegRevLex,
+    ExponentOverflow,
     Lex,
     ModularDomain,
+    Polynomial,
+    RunStats,
     normal_form,
 )
-from modgrob.polyring import poly_add, poly_mul, ring
+from modgrob.groebner import _Packed, _reduce
+from modgrob.polyring import _MAX_EXPONENT, change_domain, poly_add, poly_mul, poly_scale, ring
 from reference import reference_reduce
 
 F7 = ModularDomain(7)
@@ -59,3 +66,53 @@ def test_normal_form_matches_reference(problem):
     f, reducers = problem
     _, expected = reference_reduce(f, reducers)
     assert _exact(normal_form(f, reducers)) == _exact(expected)
+
+
+@given(division_problems((ZZ,)))
+@settings(max_examples=300)
+def test_pseudo_division_is_the_qq_reduction_scaled(problem):
+    """_reduce(f, R, step, pseudo=True) returns (k, r) with r = k times the
+    normal form over QQ, in as many steps: each pseudo step is the QQ step
+    scaled by a nonzero integer."""
+    f, reducers = problem
+    over_z, over_q = RunStats(), RunStats()
+    k, r = _reduce(f, _Packed(f.ring, reducers), over_z.step, pseudo=True)
+    f_q, reducers_q = change_domain(f, QQ), [change_domain(g, QQ) for g in reducers]
+    _, r_q = _reduce(f_q, _Packed(f_q.ring, reducers_q), over_q.step)
+    assert k != 0
+    assert change_domain(r, QQ) == poly_scale(r_q, k)
+    assert over_z.steps == over_q.steps
+
+
+def test_lex_reduction_past_the_input_exponent_bound_is_exact():
+    """x y^N by x - y^N leaves y^2N, N = 2^31: above what a polynomial may
+    be built with, inside the packed fields."""
+    n = _MAX_EXPONENT
+    ring_ = ring(("x", "y"), Lex(), ZZ)
+    f = Polynomial.from_terms(ring_, [(1, (1, n))])
+    g = Polynomial.from_terms(ring_, [(1, (1, 0)), (-1, (0, n))])
+    _, expected = reference_reduce(f, [g])
+    assert normal_form(f, [g]) == expected == Polynomial(ring_, ((1, (0, 2 * n)),))
+
+
+@pytest.mark.parametrize("order", [Lex(), DegRevLex(), Block((0,), Lex(), DegRevLex())])
+def test_monomials_past_the_packed_fields_raise(order):
+    """A total degree of 2^63 or a negative exponent leaves the fields, in
+    a dividend or in a reducer built directly."""
+    ring_ = ring(("x", "y"), order, ZZ)
+    x = Polynomial.from_terms(ring_, [(1, (1, 0))])
+    for e in [(2**63, 0), (2**62, 2**62), (-1, 1)]:
+        huge = Polynomial(ring_, ((1, e),))
+        with pytest.raises(ExponentOverflow):
+            normal_form(huge, [x])
+        with pytest.raises(ExponentOverflow):
+            normal_form(x, [huge])
+
+
+def test_a_step_past_the_packed_fields_raises():
+    """x y^(2^62) by x - y^(2^62) in Lex would make y^(2^63)."""
+    ring_ = ring(("x", "y"), Lex(), ZZ)
+    f = Polynomial(ring_, ((1, (1, 2**62)),))
+    g = Polynomial(ring_, ((1, (1, 0)), (-1, (0, 2**62))))
+    with pytest.raises(ExponentOverflow):
+        normal_form(f, [g])
