@@ -55,16 +55,16 @@ G_PAIR = 1
 
 
 class RunStats:
-    """The one budget of a run, and the work drawn on it: pair polynomials
-    built (``pairs``), completion ``reductions`` (steps reducing a generator
-    or a pair) and all reduction ``steps``.  ``max_pairs`` is the primary
-    guard; ``max_reductions`` bounds ``steps``, a wide backstop (elimination
-    orders legitimately burn millions of steps).  Only built pairs count:
-    one a criterion skips is free.  Every call given one ``RunStats`` as
-    ``limits`` draws on it; with ``None``, each completion, normal form,
-    multiplier search and factorization draws on a fresh default one."""
+    """The one budget of a run, and the work drawn on it: ``pairs`` built,
+    ``g_pairs`` of them G-pairs, the rest S-pairs; ``completions``, seeded
+    and saturation ones too; completion ``reductions`` (steps reducing a
+    generator or a pair); all reduction ``steps``.  ``max_pairs`` is the
+    primary guard, ``max_reductions`` a wide backstop on ``steps``
+    (elimination orders burn millions).  A pair a criterion skips is free.
+    Calls given one as ``limits`` share it; ``None`` gives each a fresh one."""
 
-    __slots__ = ("max_pairs", "max_reductions", "pairs", "reductions", "steps")
+    __slots__ = ("max_pairs", "max_reductions", "pairs", "g_pairs", "completions",
+                 "reductions", "steps")
 
     def __init__(self, max_pairs=50_000, max_reductions=50_000_000):
         if max_pairs < 0:
@@ -73,10 +73,11 @@ class RunStats:
             raise InvalidLimit(f"reduction budget must be >= 0, got {max_reductions}")
         self.max_pairs = max_pairs
         self.max_reductions = max_reductions
-        self.pairs = self.reductions = self.steps = 0
+        self.pairs = self.g_pairs = self.completions = self.reductions = self.steps = 0
 
-    def pair(self):
+    def pair(self, kind=S_PAIR):
         self.pairs += 1
+        self.g_pairs += kind == G_PAIR
         if self.pairs > self.max_pairs:
             raise ResourceLimitExceeded(
                 f"pair budget exhausted ({self.max_pairs}); "
@@ -92,7 +93,8 @@ class RunStats:
         self.steps += 1
         if self.steps > self.max_reductions:
             raise ResourceLimitExceeded(
-                f"reduction budget exhausted ({self.max_reductions})")
+                f"reduction budget exhausted ({self.max_reductions}); "
+                "raise --max-steps if this is intended")
 
 
 @dataclass(frozen=True)
@@ -329,8 +331,6 @@ def g_pair_z(f, g):
 # completion
 
 def _sign_normalized(f):
-    if f.is_zero:
-        return f
     return poly_scale(f, -1) if leading_coefficient(f) < 0 else f
 
 
@@ -516,7 +516,7 @@ class _Pairs:
                 c = math.gcd(leads[i][0], leads[j][0])
                 if any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads):
                     continue
-            self.stats.pair()
+            self.stats.pair(kind)
             build = s_pair_z if kind == S_PAIR else g_pair_z
             yield build(self.elements[i], self.elements[j])
 
@@ -540,6 +540,7 @@ def _complete(gens, ring_, limits, seeded=0):
     pseudo = isinstance(ring_.domain, RationalDomain)
     normalize = _primitive if pseudo else _normalizer(ring_)
     pairs = _Pairs(ring_, limits, chain=not pseudo, seeded=seeded)
+    pairs.stats.completions += 1
     # the elements packed as they join, ascending by lead term: smaller reducers apply first
     reducers = _Packed(ring_)
 

@@ -192,8 +192,6 @@ def factorize(n, limits=None):
     stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             account(m)
             continue

@@ -45,7 +45,7 @@ from modgrob.polyring import (
     ring,
     with_domain,
 )
-from test_groebner_check import reference_is_groebner_basis
+from reference import reference_is_groebner_basis
 
 R1 = ring(("x",), Lex(), ZZ)
 R2 = ring(("x", "h"), Lex(), ZZ)

@@ -294,7 +294,8 @@ def test_max_steps_bounds_the_factorization_rounds(tmp_path, capsys):
     path = tmp_path / "rho.mg"
     path.write_text("ring r = ZZ, (x), dp; ideal I = 30000000008600000000231x;\n")
     argv = ("torsion", path, "--max-pairs", "5", "--max-steps", "1000")
-    assert run(capsys, *argv) == (2, "", "resource limit: reduction budget exhausted (1000)\n")
+    assert run(capsys, *argv) == (2, "", "resource limit: reduction budget exhausted (1000); "
+                                         "raise --max-steps if this is intended\n")
 
 
 def test_negative_max_pairs_is_usage_error(tmp_path, capsys):

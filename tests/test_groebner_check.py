@@ -6,6 +6,11 @@ over ZZ).  It lives in ``reference.py``, outside the package, as the
 specification.  The package's check visits fewer pairs, so both must give the same answer on
 sets that are and are not Groebner bases, over ZZ, QQ, F_2 and F_7, in
 Lex, DegRevLex and Block orders.
+
+The one test that rebinds the pair builders is here too: it pins that
+every pair ``RunStats`` is charged is built by ``s_pair_z`` or
+``g_pair_z``, looked up by name, so that the pair-count tests can read
+``RunStats`` alone.
 """
 
 from fractions import Fraction
@@ -21,18 +26,23 @@ from modgrob import (
     ZZ,
     Block,
     DegRevLex,
+    IdealOracle,
     Lex,
     ModularDomain,
     ResourceLimitExceeded,
     RunStats,
     buchberger_field,
     buchberger_z,
+    gb_mod_m,
     groebner,
     is_groebner_basis,
+    main_lemma_check,
+    torsion_exponent,
 )
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import poly_scale, ring
 from reference import reference_is_groebner_basis
+from test_pair_counts import CERTIFY_PREFIXES, cyclic, katsura
 
 DOMAINS = (ZZ, QQ, ModularDomain(2), ModularDomain(7))
 BUDGET = partial(RunStats, max_pairs=500)  # fresh per call
@@ -115,25 +125,49 @@ def test_check_matches_all_pairs_reference(polys):
     assert is_groebner_basis(polys) == reference_is_groebner_basis(polys)
 
 
-def test_check_budget_counts_only_checked_pairs(monkeypatch):
-    """The pair budget is charged once per pair the check builds."""
-    ring_ = ring(("a", "b", "c", "d"), DegRevLex(), QQ)
-    gens = [parse_polynomial(text, ring_)  # cyclic4
-            for text in ("a+b+c+d", "ab+bc+cd+da", "abc+bcd+cda+dab", "abcd-1")]
-    basis = buchberger_field(gens).elements
-    built = [0]
-    for name in ("s_polynomial_field", "s_pair_z"):
+def _instance(name):
+    variables, texts = CERTIFY_PREFIXES[name]
+    ring_ = ring(tuple(variables), DegRevLex(), ZZ)
+    return [parse_polynomial(text, ring_) for text in texts]
+
+
+CYCLIC4_QQ_BASIS = buchberger_field(cyclic(4, QQ)).elements  # 7 elements, 21 pairs
+
+
+@pytest.mark.parametrize("run, s_pairs, g_pairs", [
+    (lambda stats: buchberger_z(katsura(2, ZZ), stats), 13, 1),
+    (lambda stats: buchberger_field(cyclic(4, QQ), stats), 13, 0),
+    (lambda stats: buchberger_field(cyclic(4, ModularDomain(32003)), stats), 8, 0),
+    (lambda stats: gb_mod_m(katsura(2, ZZ), 12, stats), 24, 3),
+    # the strong basis, then the saturation seeded with it
+    (lambda stats: torsion_exponent(_instance("166"), stats), 106, 13),
+    # the oracle's bases, then the strong basis, its seeded saturation and
+    # its seeded bases mod 4 and 27 (the torsion exponent is 108)
+    (lambda stats: main_lemma_check(IdealOracle(_instance("166"), stats),
+                                    _instance("166"), stats), 199, 24),
+    # the check builds 8 of the 21 pairs of a Groebner basis
+    (lambda stats: is_groebner_basis(CYCLIC4_QQ_BASIS, stats), 8, 0),
+], ids=["buchberger_z", "buchberger_field-QQ", "buchberger_field-F32003", "gb_mod_m",
+        "torsion_exponent", "main_lemma_check", "is_groebner_basis"])
+def test_pair_builders_run_once_per_charged_pair(monkeypatch, run, s_pairs, g_pairs):
+    """``_Pairs`` builds each pair it charges with ``s_pair_z`` or
+    ``g_pair_z``, looked up in ``groebner`` by name at the call: rebinding
+    them counts what ``RunStats`` counts, in every completion, seeded or
+    not, and in the completeness check.  ``perfbench/spans.py`` counts
+    pairs that way.  The pair budget is exactly enough."""
+    built = dict.fromkeys(("s_pair_z", "g_pair_z"), 0)
+    for name in built:
         original = getattr(groebner, name)
 
-        def counting(f, g, original=original):
-            built[0] += 1
+        def counting(f, g, name=name, original=original):
+            built[name] += 1
             return original(f, g)
 
         monkeypatch.setattr(groebner, name, counting)
-    assert is_groebner_basis(basis)
-    checked = built[0]
-    pairs = len(basis) * (len(basis) - 1) // 2
-    assert (checked, pairs) == (8, 21)
-    assert is_groebner_basis(basis, RunStats(max_pairs=checked))
+    stats = RunStats()
+    run(stats)
+    assert built == {"s_pair_z": stats.pairs - stats.g_pairs, "g_pair_z": stats.g_pairs}
+    assert (stats.pairs - stats.g_pairs, stats.g_pairs) == (s_pairs, g_pairs)
+    run(RunStats(max_pairs=stats.pairs))
     with pytest.raises(ResourceLimitExceeded):
-        is_groebner_basis(basis, RunStats(max_pairs=checked - 1))
+        run(RunStats(max_pairs=stats.pairs - 1))

@@ -109,7 +109,8 @@ def test_pollard_rho_draws_on_the_run_budget():
     """Each rho round is a step: 1000003 * 1000033 takes 478 of them, and
     trial division below 10**6 takes none."""
     n = 1000003 * 1000033
-    with pytest.raises(ResourceLimitExceeded, match=r"^reduction budget exhausted \(10\)$"):
+    message = r"^reduction budget exhausted \(10\); raise --max-steps if this is intended$"
+    with pytest.raises(ResourceLimitExceeded, match=message):
         factorize(n, RunStats(max_reductions=10))
     stats = RunStats()
     assert factorize(n, stats) == [(1000003, 1), (1000033, 1)] and stats.steps == 478

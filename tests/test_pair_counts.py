@@ -6,6 +6,12 @@ builds, and the reduction steps it spends on them, therefore catches a
 kernel change that alters reducer choice, or a pair criterion that skips
 more or fewer pairs, without timing anything.  A change meant to alter
 the algorithm updates the numbers here.
+
+Every count is read from the ``RunStats`` the calls under test are given:
+the pair polynomials it was charged, S- and G-pairs apart, its
+completions and its completion steps.  That ``_Pairs`` builds each pair
+with ``s_pair_z`` or ``g_pair_z``, looked up by name, once per charged
+pair, is pinned once, in ``test_groebner_check.py``.
 """
 
 import pytest
@@ -31,8 +37,6 @@ from modgrob import arnold, groebner, torsion
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import ring
 from test_arnold import integer_scaled_basis
-
-PAIR_FUNCTIONS = ("s_pair_z", "g_pair_z", "s_polynomial_field")
 
 
 def _unit(arity, *positions):
@@ -69,37 +73,25 @@ def cyclic(n, domain):
     return gens
 
 
-@pytest.fixture
-def work(monkeypatch):
-    """A ``RunStats`` for the calls under test, and ``spent()``: the calls of
-    each pair function made from now on, and the completion steps charged
-    to that ``RunStats``."""
-    counts = dict.fromkeys(PAIR_FUNCTIONS, 0)
-    for name in PAIR_FUNCTIONS:
-        original = getattr(groebner, name)
+def spent(stats):
+    """The completions, S- and G-pair polynomials and completion steps charged to ``stats``."""
+    return {"completions": stats.completions, "s_pairs": stats.pairs - stats.g_pairs,
+            "g_pairs": stats.g_pairs, "reductions": stats.reductions}
 
-        def counting(f, g, name=name, original=original):
-            counts[name] += 1
-            return original(f, g)
 
-        monkeypatch.setattr(groebner, name, counting)
+def test_katsura3_over_zz():
     stats = RunStats()
-    return stats, lambda: {**counts, "reductions": stats.reductions}
-
-
-def test_katsura3_over_zz(work):
-    stats, spent = work
     basis = buchberger_z(katsura(3, ZZ), stats)
-    assert spent() == {"s_pair_z": 70, "g_pair_z": 6, "s_polynomial_field": 0,
-                    "reductions": 1077}
+    assert spent(stats) == {"completions": 1, "s_pairs": 70, "g_pairs": 6,
+                            "reductions": 1077}
     assert len(basis) == 12
 
 
-def test_cyclic4_over_qq(work):
-    stats, spent = work
+def test_cyclic4_over_qq():
+    stats = RunStats()
     basis = buchberger_field(cyclic(4, QQ), stats)
-    assert spent() == {"s_pair_z": 13, "g_pair_z": 0, "s_polynomial_field": 0,
-                    "reductions": 50}
+    assert spent(stats) == {"completions": 1, "s_pairs": 13, "g_pairs": 0,
+                            "reductions": 50}
     assert len(basis) == 7
 
 
@@ -107,21 +99,21 @@ def test_cyclic4_over_qq(work):
     (katsura, 4, 49, 1745, 13),
     (cyclic, 5, 733, 29743, 20),
 ], ids=["katsura4", "cyclic5"])
-def test_larger_ideals_over_qq(work, family, n, s_pairs, reductions, elements):
+def test_larger_ideals_over_qq(family, n, s_pairs, reductions, elements):
     """Fraction-free completion over QQ makes the pairs and steps of the
     Fraction arithmetic it replaced (these counts were recorded with it)."""
-    stats, spent = work
+    stats = RunStats()
     basis = buchberger_field(family(n, QQ), stats)
-    assert spent() == {"s_pair_z": s_pairs, "g_pair_z": 0, "s_polynomial_field": 0,
-                    "reductions": reductions}
+    assert spent(stats) == {"completions": 1, "s_pairs": s_pairs, "g_pairs": 0,
+                            "reductions": reductions}
     assert len(basis) == elements
 
 
-def test_cyclic4_over_f32003(work):
-    stats, spent = work
+def test_cyclic4_over_f32003():
+    stats = RunStats()
     basis = buchberger_field(cyclic(4, ModularDomain(32003)), stats)
-    assert spent() == {"s_pair_z": 8, "g_pair_z": 0, "s_polynomial_field": 0,
-                    "reductions": 30}
+    assert spent(stats) == {"completions": 1, "s_pairs": 8, "g_pairs": 0,
+                            "reductions": 30}
     assert len(basis) == 7
 
 
@@ -129,26 +121,26 @@ def test_cyclic4_over_f32003(work):
     (katsura, 5, 66, 4029, 22),
     (cyclic, 5, 101, 1248, 20),
 ], ids=["katsura5", "cyclic5"])
-def test_larger_ideals_over_f32003(work, family, n, s_pairs, reductions, elements):
+def test_larger_ideals_over_f32003(family, n, s_pairs, reductions, elements):
     """Completion over ZZ/p runs the chain criterion: without it these took
     147 / 14,543 and 733 / 29,742 pair polynomials / steps.  Pairing no
     redundant element took cyclic5 from 103 / 1,292 to 101 / 1,248."""
-    stats, spent = work
+    stats = RunStats()
     basis = buchberger_field(family(n, ModularDomain(32003)), stats)
-    assert spent() == {"s_pair_z": s_pairs, "g_pair_z": 0, "s_polynomial_field": 0,
-                    "reductions": reductions}
+    assert spent(stats) == {"completions": 1, "s_pairs": s_pairs, "g_pairs": 0,
+                            "reductions": reductions}
     assert len(basis) == elements
 
 
-def test_katsura3_mod_12(work):
-    stats, spent = work
+def test_katsura3_mod_12():
+    stats = RunStats()
     basis = gb_mod_m(katsura(3, ZZ), 12, stats)
-    assert spent() == {"s_pair_z": 60, "g_pair_z": 7, "s_polynomial_field": 0,
-                    "reductions": 553}
+    assert spent(stats) == {"completions": 1, "s_pairs": 60, "g_pairs": 7,
+                            "reductions": 553}
     assert len(basis) == 9
 
 
-def test_tail_instance_saturation(work, monkeypatch):
+def test_tail_instance_saturation():
     """The heaviest criterion-1 instance, whose Y-elimination dominated.
 
     The saturation runs at rad(s) and is seeded with the strong basis, so
@@ -158,26 +150,18 @@ def test_tail_instance_saturation(work, monkeypatch):
     ring_ = ring(("z", "y", "x"), DegRevLex(), ZZ)
     gens = [parse_polynomial(text, ring_)
             for text in ("6y^3+7y", "-4y^3+zy-2x", "6z^2yx+5z^2y-4y^2x")]
-    stats, spent = work
-    saturation = {}
-    contract = torsion._contract
-
-    def counting_contract(basis_z, limits=None):
-        before = spent()
-        picked = contract(basis_z, limits)
-        saturation.update((name, count - before[name]) for name, count in spent().items())
-        return picked
-
-    monkeypatch.setattr(torsion, "_contract", counting_contract)
+    stats = RunStats()
     report = torsion_exponent(gens, stats)
-    assert saturation == {"s_pair_z": 136, "g_pair_z": 17, "s_polynomial_field": 0,
-                          "reductions": 3672}
-    assert spent() == {"s_pair_z": 258, "g_pair_z": 33, "s_polynomial_field": 0,
-                    "reductions": 5103}
+    assert spent(stats) == {"completions": 2, "s_pairs": 258, "g_pairs": 33,
+                            "reductions": 5103}
     # every step: 5,103 completing, 47 reducing the two bases and 167
     # finding the 13 multipliers, which draw on the same budget
     assert stats.steps == 5103 + 47 + 167
     assert report.exponent == 2 and len(report.saturation_basis) == 13
+    saturation = RunStats()
+    torsion.torsion_report(buchberger_z(gens), saturation)
+    assert spent(saturation) == {"completions": 1, "s_pairs": 136, "g_pairs": 17,
+                                 "reductions": 3672}
 
 
 KATSURA3_ZZ_PAIRS = 70 + 6  # the pinned pair polynomials of katsura3 over ZZ
@@ -218,26 +202,15 @@ def test_one_run_stats_bounds_the_calls_that_share_it():
     (katsura, 3, 32003, 18),
     (katsura, 3, 2, 11),
 ], ids=["cyclic4-p32003", "cyclic4-p2", "katsura3-p32003", "katsura3-p2"])
-def test_arnold_conditions_work(work, monkeypatch, family, n, p, s_pairs):
+def test_arnold_conditions_work(family, n, p, s_pairs):
     """The verifier completes I mod p only: G is complete over QQ, so it is
     not completed again, and the criteria skip most of its pairs.  S-pairs
     over F_p and the fraction-free ones of the QQ check count alike."""
-    _, spent = work
     i_gens = homogenize_ideal(family(n, ZZ))
     g_set = integer_scaled_basis(i_gens)
-    before = spent()
-    completions = [0]
-    complete = arnold.buchberger_field
-
-    def counting_complete(*args, **kwargs):
-        completions[0] += 1
-        return complete(*args, **kwargs)
-
-    monkeypatch.setattr(arnold, "buchberger_field", counting_complete)
-    report = arnold_conditions(i_gens, g_set, p)
-    after = spent()
-    built = sum(after[name] - before[name] for name in ("s_polynomial_field", "s_pair_z"))
-    assert (built, completions[0]) == (s_pairs, 1)
+    stats = RunStats()
+    report = arnold_conditions(i_gens, g_set, p, stats)
+    assert (stats.pairs - stats.g_pairs, stats.g_pairs, stats.completions) == (s_pairs, 0, 1)
     assert report.condition2 and report.condition3
 
 
@@ -260,7 +233,8 @@ def test_arnold_conditions_charge_every_step(monkeypatch):
     assert arnold_conditions(i_gens, g_set, 32003, stats).verdict == arnold.VERIFIED
     assert (stats.reductions, stats.steps, uncharged) == (53, 53 + 21, [])
     arnold_conditions(i_gens, g_set, 32003, RunStats(max_reductions=74))
-    with pytest.raises(ResourceLimitExceeded, match=r"^reduction budget exhausted \(73\)$"):
+    message = r"^reduction budget exhausted \(73\); raise --max-steps if this is intended$"
+    with pytest.raises(ResourceLimitExceeded, match=message):
         arnold_conditions(i_gens, g_set, 32003, RunStats(max_reductions=73))
 
 
@@ -294,51 +268,38 @@ CERTIFY_PREFIXES = {
     ("119", 16, 111, 11, 639),
     ("166", 108, 50, 6, 107),
 ], ids=["053", "024", "074", "119", "166"])
-def test_certify_saturation_work(work, instance, exponent, s_pairs, g_pairs, reductions):
+def test_certify_saturation_work(instance, exponent, s_pairs, g_pairs, reductions):
     """The saturation in a certificate is seeded with the strong basis and
     runs at rad(s): its pair polynomials and steps are pinned here, so a
     seed that treats its pairs again, or a saturation at s, fails."""
-    stats, spent = work
     variables, texts = CERTIFY_PREFIXES[instance]
     ring_ = ring(tuple(variables), DegRevLex(), ZZ)
     basis = buchberger_z([parse_polynomial(text, ring_) for text in texts])
-    before = spent()
+    stats = RunStats()
     report = torsion.torsion_report(basis, stats)
     assert report.exponent == exponent
-    saturation = {name: count - before[name] for name, count in spent().items()}
-    assert saturation == {"s_pair_z": s_pairs, "g_pair_z": g_pairs, "s_polynomial_field": 0,
-                          "reductions": reductions}
+    assert spent(stats) == {"completions": 1, "s_pairs": s_pairs, "g_pairs": g_pairs,
+                            "reductions": reductions}
 
 
 @pytest.mark.parametrize("k, accepted, completions, s_pairs, g_pairs, reductions", [
     (3, True, 3, 275, 34, 5223),
     (2, False, 1, 18, 3, 53),
 ], ids=["053", "053-rejected-over-qq"])
-def test_certificate_work(work, monkeypatch, k, accepted, completions, s_pairs, g_pairs,
-                          reductions):
+def test_certificate_work(k, accepted, completions, s_pairs, g_pairs, reductions):
     """A certificate completes its prefix once, over ZZ, and every later
     stage reads that strong basis.  Prefix 053 completes three times: the
     strong basis, the seeded saturation and the seeded basis mod 2.  Its
     first two generators fail over QQ after the strong basis alone.  The
     oracle answers from the cache a first call filled, so only the
     certificate's own work is counted."""
-    stats, spent = work
     variables, texts = CERTIFY_PREFIXES["053"]
     ring_ = ring(tuple(variables), DegRevLex(), ZZ)
     gens = [parse_polynomial(text, ring_) for text in texts]
     oracle = IdealOracle(gens)
     main_lemma_check(oracle, gens[:k])
-    calls = [0]
-    complete = groebner._complete
-
-    def counting_complete(*args, **kwargs):
-        calls[0] += 1
-        return complete(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "_complete", counting_complete)
-    before = spent()
+    stats = RunStats()
     cert = main_lemma_check(oracle, gens[:k], stats)
-    assert (cert.q_match, cert.accepted, calls[0]) == (accepted, accepted, completions)
-    assert {name: count - before[name] for name, count in spent().items()} == {
-        "s_pair_z": s_pairs, "g_pair_z": g_pairs, "s_polynomial_field": 0,
-        "reductions": reductions}
+    assert (cert.q_match, cert.accepted) == (accepted, accepted)
+    assert spent(stats) == {"completions": completions, "s_pairs": s_pairs,
+                            "g_pairs": g_pairs, "reductions": reductions}
