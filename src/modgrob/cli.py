@@ -42,10 +42,13 @@ def _read(path):
 
 def _load(args, command=None, domain=None):
     """The command's problem file and the ring it works in: the file's ring
-    with --order applied and, for gb, the chosen domain.  A command named
-    here works over ZZ only."""
+    with --order applied and, for gb, the chosen domain: ZZ/d with d | m for
+    a ZZ/m file, the rings ZZ/m maps to.  A command named here needs ZZ."""
     problem = _read(args.file)
     declared = problem.ring
+    if isinstance(declared.domain, ModularDomain) and domain and not (
+            isinstance(domain, ModularDomain) and declared.domain.modulus % domain.modulus == 0):
+        raise ModGrobError(f"--coeff {domain.name} does not apply to a {declared.domain.name} file")
     ring_ = RingDescriptor(declared.variables, args.order or declared.order,
                            domain or declared.domain)
     if command and not isinstance(ring_.domain, IntegerDomain):

@@ -147,8 +147,6 @@ def is_prime(n):
 def _pollard_rho(n, step):
     """One nontrivial factor of composite odd n (Floyd's cycle detection:
     x takes one step of x^2 + c per round, y two); ``step()`` once a round."""
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         x = y = 2

@@ -407,8 +407,6 @@ def parse_problem(text):
             raise ParseError(f"unknown section keyword {tok.text!r}",
                              tok.line, tok.column)
         cursor.expect("PUNCT", ";")
-    if reader is None:
-        raise ParseError("the file declares no ring", 1, 1)
     return ProblemFile(ring=reader.ring, ideals=ideals, stream=lists.get("stream"),
                        oracle_polys=lists.get("oracle"))
 

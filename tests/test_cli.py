@@ -48,6 +48,23 @@ def test_gb_coefficient_override(capsys):
     assert out == "x^3\n3yx\nyx^2\n3y^2+2yx\n"
 
 
+@pytest.mark.parametrize("domain, coeff, outcome", [
+    ("ZZ/9", "ZZ/3", (0, "x+2\n", "")),
+    ("ZZ/9", "ZZ/9", (0, "x+8\n", "")),
+    ("ZZ/4", "QQ", (2, "", "error: --coeff QQ does not apply to a ZZ/4 file\n")),
+    ("ZZ/4", "ZZ", (2, "", "error: --coeff ZZ does not apply to a ZZ/4 file\n")),
+    ("ZZ/5", "ZZ/7", (2, "", "error: --coeff ZZ/7 does not apply to a ZZ/5 file\n")),
+    ("ZZ/9", "ZZ/27", (2, "", "error: --coeff ZZ/27 does not apply to a ZZ/9 file\n")),
+], ids=["divisor", "same", "QQ", "ZZ", "coprime", "multiple"])
+def test_coeff_on_a_zz_m_file_is_zz_d_with_d_dividing_m(tmp_path, capsys, domain, coeff,
+                                                         outcome):
+    """The file's coefficients are residues mod m, and ZZ/m maps only to
+    ZZ/d with d | m; read as integers, x-1 over ZZ/4 would give x+3."""
+    path = tmp_path / "residues.mg"
+    path.write_text(f"ring r = {domain}, (x), dp; ideal I = x-1;\n")
+    assert run(capsys, "gb", path, "--coeff", coeff) == outcome
+
+
 def test_gb_json_format(capsys):
     code, out, _ = run(capsys, "gb", CORPUS / "chain_z9_dp.mg", "--json")
     assert code == 0
@@ -78,6 +95,12 @@ def test_torsion_json(capsys):
     code, out, _ = run(capsys, "torsion", CORPUS / "chain_dp.mg", "--json")
     assert code == 0
     assert "m=27" in out.splitlines()
+
+
+def test_torsion_of_the_zero_ideal(tmp_path, capsys):
+    path = tmp_path / "zero.mg"
+    path.write_text("ring r = ZZ, (y, x), dp; ideal I = 0;\n")
+    assert run(capsys, "torsion", path) == (0, "m = 1\nmultipliers: none (zero ideal)\n", "")
 
 
 def test_torsion_requires_zz(capsys):
@@ -165,6 +188,16 @@ def test_solve_p_json(capsys):
     assert "accepted=true" in blocks[2] and "basis=x" in blocks[2]
 
 
+def test_solve_p_stream_flag_names_an_ideal_section(tmp_path, capsys):
+    path = tmp_path / "sections.mg"
+    path.write_text("ring r = ZZ, (x), lp; ideal S = 2x, 3x; oracle = x;\n")
+    code, out, err = run(capsys, "solve-p", path, "--stream", "S")
+    assert (code, err) == (0, "")
+    assert "prefix k = 1: rejected" in out and "prefix k = 2: accepted" in out
+    assert run(capsys, "solve-p", path) == (
+        2, "", "error: no stream: add a stream section or pass --stream\n")
+
+
 def test_check_lemma_rejection_exit_code(tmp_path, capsys):
     path = tmp_path / "check.mg"
     path.write_text("""
@@ -203,6 +236,17 @@ def test_check_lemma_oracle_from_file(tmp_path, capsys):
     assert err == "parse error: line 1, column 50: unexpected character '\"'\n"
 
 
+@pytest.mark.parametrize("oracle", ["ring r = ZZ, (y), lp; ideal I = y;",
+                                    "ring r = QQ, (x), lp; ideal I = x;"],
+                         ids=["variables", "domain"])
+def test_oracle_file_over_another_ring_is_usage_error(tmp_path, capsys, oracle):
+    (tmp_path / "other.mg").write_text(oracle + "\n")
+    path = tmp_path / "check.mg"
+    path.write_text("ring r = ZZ, (x), lp; ideal J = 2x, 3x;\n")
+    assert run(capsys, "check-lemma", path, "--oracle", tmp_path / "other.mg") == (
+        2, "", "error: oracle file must declare the same variables and domain\n")
+
+
 def test_check_lemma_oracle_section_flag(tmp_path, capsys):
     path = tmp_path / "check.mg"
     path.write_text("""
@@ -227,6 +271,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "gb", path)
     assert code == 2
     assert "parse error" in err
+
+
+def test_duplicate_stream_section_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "streams.mg"
+    path.write_text("ring r = ZZ, (x), lp; stream = x; stream = 2x;\n")
+    assert run(capsys, "solve-p", path) == (
+        2, "", "parse error: line 1, column 35: duplicate stream section\n")
 
 
 def test_resource_cap_exit_code(tmp_path, capsys):
@@ -507,7 +558,8 @@ def test_gb_modulus_below_two_is_usage_error(capsys):
     (["--coeff", "ZZ/1"], "argument --coeff: line 1, column 4: modulus must be >= 2"),
     (["--coeff", "ZZ/"], "argument --coeff: line 1, column 4: expected 'INT'"),
     (["--order", "xx"], "argument --order: line 1, column 1: unknown term order 'xx'"),
-], ids=["coeff-ZZ/1", "coeff-ZZ/", "order-xx"])
+    (["--order", "lp x"], "argument --order: line 1, column 4: unexpected trailing input 'x'"),
+], ids=["coeff-ZZ/1", "coeff-ZZ/", "order-xx", "order-trailing"])
 def test_bad_domain_or_order_flag_is_usage_error(capsys, flags, message):
     _one_line_usage_error(capsys, ["gb", CORPUS / "chain_dp.mg"] + flags,
                           f"modgrob gb: error: {message}")

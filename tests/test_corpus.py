@@ -1,10 +1,12 @@
-"""The corpus commands are written down twice and the corpus files kept twice.
+"""The corpus commands are written once and the corpus files kept twice.
 
-``scripts/run_corpus.py`` runs the commands as the output-identity check,
-and ``perfbench/workloads.py`` times the same commands on its own copy of
-the files in ``perfbench/corpus/``.  These checks fail when the two lists
-or the two copies drift apart.  They parse the scripts instead of
-importing them, so that nothing is written under ``perfbench/``.
+``perfbench/workloads.py`` lists the commands in ``CORPUS_RUNS`` and runs
+them on its own copy of the files in ``perfbench/corpus/``; the same-bytes
+gate in ``tests/test_perfbench_selftest.py`` checks every output byte of
+each one against ``perfbench/refs.json``.  These checks fail when a corpus
+file is run by no command or the two copies drift apart.  They parse the
+workloads instead of importing them, so that nothing is written under
+``perfbench/``.
 """
 
 import ast
@@ -27,13 +29,8 @@ def _files(directory):
     return {p.name: p.read_bytes() for p in (ROOT / directory).iterdir() if p.is_file()}
 
 
-def test_benchmark_runs_the_corpus_commands():
-    assert _runs("scripts/run_corpus.py", "RUNS") == _runs("perfbench/workloads.py",
-                                                            "CORPUS_RUNS")
-
-
 def test_every_corpus_file_is_run():
-    used = {name for _, name, _ in _runs("scripts/run_corpus.py", "RUNS")}
+    used = {name for _, name, _ in _runs("perfbench/workloads.py", "CORPUS_RUNS")}
     assert used == {name for name in _files("corpus") if name.endswith(".mg")}
 
 

@@ -105,6 +105,21 @@ def test_factorize_large_semiprime():
     assert factorize(p * q) == [(p, 1), (q, 1)]
 
 
+def test_factorize_hands_pollard_rho_only_odd_numbers(monkeypatch):
+    """Both odd factors lie past trial division, so rho splits what is left
+    once factorize has divided out the 2: it never sees an even number."""
+    seen = []
+    pollard_rho = intarith._pollard_rho
+
+    def rho(n, step):
+        seen.append(n)
+        return pollard_rho(n, step)
+
+    monkeypatch.setattr(intarith, "_pollard_rho", rho)
+    assert factorize(2 * 1000003 * 1000033) == [(2, 1), (1000003, 1), (1000033, 1)]
+    assert seen == [1000003 * 1000033]
+
+
 def test_pollard_rho_draws_on_the_run_budget():
     """Each rho round is a step: 1000003 * 1000033 takes 478 of them, and
     trial division below 10**6 takes none."""

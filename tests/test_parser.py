@@ -101,6 +101,19 @@ def test_section_before_ring_is_parse_error(section):
     assert str(err.value) == f"line 1, column 1: {keyword} section before the ring declaration"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("foo I = x; ring r = ZZ, (x), lp;", "unknown section keyword 'foo'"),
+    ("3; ring r = ZZ, (x), lp;", "expected 'IDENT', found '3'"),
+    ("; ring r = ZZ, (x), lp;", "expected 'IDENT', found ';'"),
+], ids=["unknown-keyword", "integer", "punctuation"])
+def test_first_statement_that_is_no_ring_is_parse_error(text, message):
+    """A nonempty file's first statement declares the ring or raises, so no
+    file gets past the parser without a ring."""
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == f"line 1, column 1: {message}"
+
+
 def test_ideal_lookup_rules():
     pf = parse_problem("ring r = ZZ, (x), lp; ideal A = x; ideal I = 2x; ideal B = 3x;")
     assert [str(g) for g in pf.ideal()] == ["2x"]       # named I wins
