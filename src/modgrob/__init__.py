@@ -62,7 +62,6 @@ from .polyring import (
     leading_monomial,
     leading_term,
     monic,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
     ring,
@@ -86,7 +85,7 @@ __all__ = [
     "parse_problem", "QQ", "ZZ", "Block", "DegRevLex", "IntegerDomain", "Lex",
     "ModularDomain", "Polynomial", "RationalDomain", "RingDescriptor",
     "change_domain", "homogenize", "is_homogeneous", "leading_coefficient",
-    "leading_monomial", "leading_term", "monic", "monomial_div",
-    "monomial_divides", "monomial_lcm", "ring", "TorsionReport",
-    "minimal_multiplier", "torsion_exponent", "ExponentOverflow",
+    "leading_monomial", "leading_term", "monic", "monomial_divides",
+    "monomial_lcm", "ring", "TorsionReport", "minimal_multiplier",
+    "torsion_exponent", "ExponentOverflow",
 ]

@@ -30,7 +30,7 @@ extra variable then breaks spurious agreements through condition 3.
 
 from dataclasses import dataclass
 
-from .errors import ZeroPolynomial
+from .errors import RingMismatch, ZeroPolynomial
 from .groebner import _Packed, buchberger_field, is_groebner_basis, normal_form
 from .intarith import is_prime
 from .polyring import (
@@ -75,7 +75,7 @@ def _nonzero_images_mod_p(gens, p):
 
 
 def arnold_conditions(i_gens, g_set, p, limits=None):
-    """Evaluate the four conditions for generators I, candidate G, prime p.
+    """Evaluate the four conditions for generators I, candidate G in I's ring, prime p.
 
     The verdict is Verified only when all four hold AND every input
     polynomial is homogeneous; otherwise ConditionFailed with the list of
@@ -92,6 +92,8 @@ def arnold_conditions(i_gens, g_set, p, limits=None):
     if not isinstance(ring_.domain, IntegerDomain):
         raise ValueError("Arnold verification runs on input over ZZ")
     for g in g_set:
+        if g.ring != ring_:
+            raise RingMismatch(f"candidate {g} is not over the ring of I")
         if g.is_zero:
             raise ZeroPolynomial("zero polynomial in the candidate set")
 

@@ -201,9 +201,11 @@ _COMMANDS = [
      ("--ideal", "--order", "--coeff")),
     ("torsion", _cmd_torsion, "torsion exponent of ZZ[X]/J with multipliers",
      ("--ideal", "--order")),
-    ("check-lemma", _cmd_check_lemma, "certify a prefix ideal against the oracle",
+    ("check-lemma", _cmd_check_lemma,
+     "certify a prefix ideal J against the oracle's ideal I; assumes J is contained in I",
      ("--ideal", "--order", "--oracle")),
-    ("solve-p", _cmd_solve_p, "walk the stream until a prefix is certified",
+    ("solve-p", _cmd_solve_p, "walk the stream until a prefix is certified; "
+     "assumes every stream element lies in the oracle's ideal",
      ("--order", "--stream", "--oracle")),
     ("arnold-verify", _cmd_arnold_verify, "check E. Arnold's four modular conditions",
      ("--ideal", "--order", "--mod")),
@@ -217,7 +219,7 @@ def build_arg_parser():
         description="Groebner bases over ZZ, QQ and ZZ/m with modular verification")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, handler, doc, flags in _COMMANDS:
-        sub = subs.add_parser(name, help=doc)
+        sub = subs.add_parser(name, help=doc, description=doc)
         sub.add_argument("file", help="problem file")
         for flag in flags + ("--max-pairs", "--max-steps", "--json"):
             sub.add_argument(flag, **_FLAGS[flag])

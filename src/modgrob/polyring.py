@@ -140,8 +140,8 @@ TermOrder = Lex | DegRevLex | Block
 def monomial_key(order):
     """Sort key for monomials: bigger key means bigger monomial.
 
-    Keys are flat int tuples of fixed length per arity, so elementwise
-    negation reverses the order (used by the reduction heap).
+    Keys are flat int tuples of fixed length per arity, each entry linear
+    in the exponents, so ``groebner._packing`` packs a key into one int.
     """
     if isinstance(order, Lex):
         return lambda e: e
@@ -171,13 +171,6 @@ def monomial_lcm(a, b):
 def monomial_divides(a, b):
     """True when a divides b (componentwise <=); a and b of one arity."""
     return all(map(le, a, b))
-
-
-def monomial_div(a, b):
-    """The monomial a / b; b must divide a."""
-    if not monomial_divides(b, a):
-        raise ValueError(f"{b} does not divide {a}")
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +397,6 @@ def change_domain(f, domain):
         if v != 0:
             out.append((v, mono))
     return Polynomial(new_ring, tuple(out))
-
-
-def inject_variable(f, new_ring, position):
-    """View f inside a ring with one extra variable (exponent 0 everywhere)."""
-    if new_ring.arity != f.ring.arity + 1:
-        raise ValueError("target ring must have exactly one extra variable")
-    pairs = []
-    for c, mono in f.terms:
-        pairs.append((c, mono[:position] + (0,) + mono[position:]))
-    return Polynomial.from_terms(new_ring, pairs)
-
-
-def drop_variable(f, position, new_ring):
-    """Inverse of inject_variable; every exponent at ``position`` must be 0."""
-    if new_ring.arity != f.ring.arity - 1:
-        raise ValueError("target ring must have exactly one variable fewer")
-    pairs = []
-    for c, mono in f.terms:
-        if mono[position] != 0:
-            raise ValueError(f"variable at position {position} occurs in {f}")
-        pairs.append((c, mono[:position] + mono[position + 1:]))
-    return Polynomial.from_terms(new_ring, pairs)
 
 
 def fresh_variable_name(existing, base="h"):

@@ -20,9 +20,7 @@ from .polyring import (
     Lex,
     Polynomial,
     RingDescriptor,
-    drop_variable,
     fresh_variable_name,
-    inject_variable,
     leading_coefficient,
     leading_monomial,
     poly_scale,
@@ -59,16 +57,16 @@ def _contract(basis_z, limits=None):
                               ring_.domain)
     y_mono = (1,) + ring_.one_monomial()
     inverter = Polynomial.from_terms(ext_ring, [(r, y_mono), (-1, (0,) + ring_.one_monomial())])
-    ext_gens = [inject_variable(g, ext_ring, 0) for g in basis_z.elements]
+    ext_gens = [Polynomial(ext_ring, tuple([(c, (0,) + m) for c, m in g.terms]))
+                for g in basis_z.elements]
     ext_gens.append(inverter)
     eliminated = groebner._complete(ext_gens, ext_ring, limits, seeded=len(basis_z))
-    picked = []
-    for h in eliminated.elements:
-        if leading_monomial(h)[0] == 0:
-            # Elimination property of the block order: a Y-free lead
-            # monomial forces the whole polynomial to be Y-free.
-            picked.append(drop_variable(h, 0, ring_))
-    return picked
+    # Elimination property of the block order: a Y-free lead monomial forces
+    # the whole polynomial to be Y-free.  Monomials of Y-exponent 0 compare
+    # under the block order as under ``order``, so both ring changes keep
+    # every term list sorted; lists, not generators, size each tuple exactly.
+    return [Polynomial(ring_, tuple([(c, m[1:]) for c, m in h.terms]))
+            for h in eliminated.elements if leading_monomial(h)[0] == 0]
 
 
 def minimal_multiplier(g, j_basis_z, limits=None):

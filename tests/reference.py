@@ -26,14 +26,20 @@ are renamed by what they specify:
 - ``reference_is_groebner_basis``: ``is_groebner_basis`` before it
   skipped pairs, reducing every S-pair and G-pair (``test_groebner_check``);
 - ``reference_contract``: ``torsion._contract`` when it saturated at s
-  with an unseeded completion (``test_seeded_completion``);
+  with an unseeded completion (``test_seeded_completion``), with
+  ``inject_variable`` and ``drop_variable``, the ``polyring`` helpers
+  that moved a polynomial into the ring with Y and back through
+  ``Polynomial.from_terms``, refusing a target ring of the wrong arity
+  and a Y that occurs;
 - ``merge_poly_add``, ``merge_poly_sub``, ``merge_term_mul``,
   ``merge_s_polynomial_field``, ``merge_s_pair_z`` and ``merge_g_pair_z``:
   sums, differences and pair polynomials when ``poly_add`` merged two
   sorted term lists with two pointers, ``poly_sub`` negated with
   ``poly_scale`` first and each pair polynomial built both multiples with
   ``term_mul`` (``test_pair_polynomials``); the G-pair's ``left + right``
-  reads ``merge_poly_add(left, right)``;
+  reads ``merge_poly_add(left, right)``; ``monomial_div``, the exported
+  ``polyring`` quotient of monomials of that time, divides the lcm by
+  each lead monomial there;
 - ``reference_tokenize``, ``reference_split_variable_factors``,
   ``reference_PolyParser`` and ``reference_parse_problem``: the parser
   when it scanned characters one by one and built every constant,
@@ -91,13 +97,10 @@ from modgrob.polyring import (
     IntegerDomain,
     RationalDomain,
     _same_ring,
-    drop_variable,
     fresh_variable_name,
-    inject_variable,
     leading_coefficient,
     leading_monomial,
     leading_term,
-    monomial_div,
     monomial_divides,
     monomial_key,
     monomial_lcm,
@@ -540,6 +543,28 @@ def reference_is_groebner_basis(polys):
     return True
 
 
+def inject_variable(f, new_ring, position):
+    """View f inside a ring with one extra variable (exponent 0 everywhere)."""
+    if new_ring.arity != f.ring.arity + 1:
+        raise ValueError("target ring must have exactly one extra variable")
+    pairs = []
+    for c, mono in f.terms:
+        pairs.append((c, mono[:position] + (0,) + mono[position:]))
+    return Polynomial.from_terms(new_ring, pairs)
+
+
+def drop_variable(f, position, new_ring):
+    """Inverse of inject_variable; every exponent at ``position`` must be 0."""
+    if new_ring.arity != f.ring.arity - 1:
+        raise ValueError("target ring must have exactly one variable fewer")
+    pairs = []
+    for c, mono in f.terms:
+        if mono[position] != 0:
+            raise ValueError(f"variable at position {position} occurs in {f}")
+        pairs.append((c, mono[:position] + mono[position + 1:]))
+    return Polynomial.from_terms(new_ring, pairs)
+
+
 def reference_contract(basis_z, limits=None):
     """Y-free part of the strong basis of <J, s*Y - 1> under Block(Y; order)."""
     ring_ = basis_z.ring
@@ -815,6 +840,13 @@ def reference_parse_problem(text, reader_class=reference_PolyParser):
         raise ParseError("the file declares no ring", 1, 1)
     return ProblemFile(ring=reader.ring, ideals=ideals, stream=stream,
                        oracle_polys=oracle_polys)
+
+
+def monomial_div(a, b):
+    """The monomial a / b; b must divide a."""
+    if not monomial_divides(b, a):
+        raise ValueError(f"{b} does not divide {a}")
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def merge_poly_add(f, g):

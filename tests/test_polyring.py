@@ -21,7 +21,6 @@ from modgrob import (
     leading_coefficient,
     leading_monomial,
     leading_term,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
     parse_polynomial,
@@ -122,9 +121,6 @@ def test_monomial_lcm_div():
     assert monomial_lcm((2, 1), (1, 3)) == (2, 3)
     assert monomial_divides((1, 1), (2, 1))
     assert not monomial_divides((2, 1), (1, 1))
-    assert monomial_div((2, 3), (1, 1)) == (1, 2)
-    with pytest.raises(ValueError):
-        monomial_div((1, 1), (2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from modgrob import (
     QQ,
     ZZ,
+    DegRevLex,
     DomainError,
     GroebnerBasis,
     IdealOracle,
@@ -28,7 +29,7 @@ from modgrob import (
     parse_polynomial,
     torsion_exponent,
 )
-from modgrob.polyring import drop_variable, inject_variable, monomial_key, ring
+from modgrob.polyring import monomial_key, ring
 
 RX = ring(("x",), Lex(), ZZ)
 RXQ = ring(("x",), Lex(), QQ)
@@ -72,6 +73,12 @@ class _UnreducedOracle:
      "need at least one generator for the ideal"),
     (lambda: arnold_conditions([P("x", RXQ)], [P("x", RXQ)], 2), ValueError,
      "Arnold verification runs on input over ZZ"),
+    (lambda: arnold_conditions([P("x")], [P("x", ring(("x",), DegRevLex(), ZZ))], 2),
+     RingMismatch, "candidate x is not over the ring of I"),
+    (lambda: arnold_conditions([P("x")], [P("x", ring(("x",), Lex(), ModularDomain(7)))], 2),
+     RingMismatch, "candidate x is not over the ring of I"),
+    (lambda: arnold_conditions([P("x")], [P("2x", RXQ)], 2), RingMismatch,
+     "candidate 2x is not over the ring of I"),
     # torsion
     (lambda: torsion_exponent([]), ValueError, "need at least one polynomial to fix the ring"),
     (lambda: torsion_exponent([P("x", RXQ)]), DomainError, "torsion exponent works over ZZ"),
@@ -83,21 +90,15 @@ class _UnreducedOracle:
     (lambda: Polynomial.from_terms(RX, [(1, (1, 2))]), ValueError,
      "monomial (1, 2) has wrong arity for ('x',)"),
     (lambda: monic(P("2x")), DomainError, "monic rescaling needs a field domain"),
-    (lambda: inject_variable(P("x"), RX, 0), ValueError,
-     "target ring must have exactly one extra variable"),
-    (lambda: drop_variable(P("x"), 0, RX), ValueError,
-     "target ring must have exactly one variable fewer"),
-    (lambda: drop_variable(P("y", RYX), 0, RX), ValueError,
-     "variable at position 0 occurs in y"),
     (lambda: homogenize(P("x"), 0, RX), ValueError,
      "homogenization ring must have exactly one extra variable"),
 ], ids=["zero-reducer", "basis-check-over-zz6", "no-generators", "not-a-polynomial",
         "gb-mod-m-over-qq", "gb-equal-non-basis", "gb-equal-other-ring",
         "oracle-no-generators", "oracle-over-qq", "oracle-unreduced-answer", "empty-prefix",
-        "arnold-no-generators", "arnold-over-qq", "torsion-no-generators",
+        "arnold-no-generators", "arnold-over-qq", "arnold-candidate-other-order",
+        "arnold-candidate-mod-7", "arnold-candidate-over-qq", "torsion-no-generators",
         "torsion-over-qq", "crt-no-moduli", "modulus-one", "unknown-order", "wrong-arity",
-        "monic-over-zz", "inject-wrong-ring", "drop-wrong-ring", "drop-occurring-variable",
-        "homogenize-wrong-ring"])
+        "monic-over-zz", "homogenize-wrong-ring"])
 def test_malformed_arguments_are_refused(call, error, message):
     with pytest.raises(error) as err:
         call()

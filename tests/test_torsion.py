@@ -2,18 +2,21 @@ import math
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle as O
 import strategies as sts
 from modgrob import (
     QQ,
     ZZ,
+    Block,
     DegRevLex,
     DomainError,
     Lex,
     NonMember,
     Polynomial,
     ResourceLimitExceeded,
+    RingDescriptor,
     RingMismatch,
     RunStats,
     buchberger_z,
@@ -41,6 +44,22 @@ def P(text, ring_=R1):
 
 # ---------------------------------------------------------------------------
 # saturation / contraction
+
+@given(sts.rings(domains=(ZZ,), allow_block=True).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(st.tuples(
+        st.integers(-9, 9), sts.bounded_monomials(r.arity, 4)), max_size=5))))
+def test_zero_y_exponent_keeps_the_order(ring_and_terms):
+    """The saturation moves polynomials into the ring with Y in front, under
+    Block((0,), Lex(), order), by prepending Y's exponent 0 to each
+    monomial, and back by dropping it, without re-sorting.  Both agree
+    with ``Polynomial.from_terms``, over Lex, DegRevLex and Block orders."""
+    ring_, terms = ring_and_terms
+    ext = RingDescriptor(("Y",) + ring_.variables, Block((0,), Lex(), ring_.order), ZZ)
+    f = Polynomial.from_terms(ring_, terms)
+    lifted = Polynomial(ext, tuple((c, (0,) + m) for c, m in f.terms))
+    assert lifted == Polynomial.from_terms(ext, [(c, (0,) + m) for c, m in terms])
+    assert Polynomial(ring_, tuple((c, m[1:]) for c, m in lifted.terms)) == f
+
 
 def test_zero_ideal_contracts_to_nothing():
     assert torsion_exponent([Polynomial.zero(R1)]).saturation_basis == ()
