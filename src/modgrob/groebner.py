@@ -57,7 +57,7 @@ G_PAIR = 1
 class RunStats:
     """The one budget of a run, and the work drawn on it: ``pairs`` built,
     ``g_pairs`` of them G-pairs, the rest S-pairs; ``completions``, seeded
-    and saturation ones too; completion ``reductions`` (steps reducing a
+    and saturation ones too, not checks; ``reductions`` (steps reducing a
     generator or a pair); all reduction ``steps``.  ``max_pairs`` is the
     primary guard, ``max_reductions`` a wide backstop on ``steps``
     (elimination orders burn millions).  A pair a criterion skips is free.
@@ -84,7 +84,7 @@ class RunStats:
                 "raise --max-pairs if this is intended")
 
     def reduction(self):
-        """A completion step: reducing a generator or a pair."""
+        """A step reducing a generator or a pair, completing or checking."""
         self.reductions += 1
         self.step()
 
@@ -369,21 +369,21 @@ def _poly_sort_key(key):
 
 
 def _common_ring(gens, ring_):
+    for g in gens:
+        if not isinstance(g, Polynomial):
+            raise TypeError(f"expected Polynomial, got {type(g).__name__}")
     if ring_ is None:
         if not gens:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring_ = gens[0].ring
-    for g in gens:
-        if not isinstance(g, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(g).__name__}")
-        if g.ring != ring_:
-            raise RingMismatch("polynomials live in different rings")
+    if any(g.ring != ring_ for g in gens):
+        raise RingMismatch("polynomials live in different rings")
     return ring_
 
 
 class _Pairs:
     """The pairs of a growing basis that Buchberger's criteria leave, in the
-    order both completion and the completeness check visit them.
+    order ``_complete`` visits them, completing or checking.
 
     ``add(g)`` appends g to ``elements`` and queues its pairs.  Iterating
     pops pairs (i, j), i < j, by the order key of their lcm, S-pairs before
@@ -411,9 +411,9 @@ class _Pairs:
       treated, every S-pair has a representation below its T: it reduced
       to zero, the product criterion gives one, or two pairs treated
       earlier do.  Without the pending rule, pairs on one lcm could skip
-      each other in a cycle.  The completeness check and completion over
-      ZZ and ZZ/p set ``chain``.  Only the fraction-free completion over
-      QQ does not yet: the benchmark's self-test pins its pair counts;
+      each other in a cycle.  ``_complete`` sets ``chain`` in check mode
+      and over ZZ and ZZ/p.  Only the fraction-free completion over QQ
+      does not yet: the benchmark's self-test pins its pair counts;
     - the G-pair criterion (ZZ only): some lt_k strongly divides gcd(c_i,
       c_j) lcm(m_i, m_j).  Elements never leave the basis, so one still
       does at the end.  Given the S-pairs, were the basis then not strong,
@@ -521,13 +521,17 @@ class _Pairs:
             yield build(self.elements[i], self.elements[j])
 
 
-def _complete(gens, ring_, limits, seeded=0):
+def _complete(gens, ring_, limits, seeded=0, check=False):
     """Close the generators under the pairs ``_Pairs`` yields, then canonicalize.
 
     The first ``seeded`` generators must be a reduced Groebner basis
     (strong over ZZ).  Each is its own remainder, so it joins the basis
     unchanged, and ``_Pairs`` treats no pair between two of them.  Only
     callers that built that basis themselves pass it.
+
+    ``check`` makes it ``is_groebner_basis``, counted as no completion: the
+    generators join unreduced, and the result is False at the first pair
+    with a nonzero remainder, else True.
 
     Over QQ the elements are ``_primitive`` integer polynomials that reduce
     by pseudo-division and become monic ``Fraction`` polynomials only for
@@ -539,24 +543,30 @@ def _complete(gens, ring_, limits, seeded=0):
     """
     pseudo = isinstance(ring_.domain, RationalDomain)
     normalize = _primitive if pseudo else _normalizer(ring_)
-    pairs = _Pairs(ring_, limits, chain=not pseudo, seeded=seeded)
-    pairs.stats.completions += 1
+    pairs = _Pairs(ring_, limits, chain=check or not pseudo, seeded=seeded)
+    pairs.stats.completions += not check
     # the elements packed as they join, ascending by lead term: smaller reducers apply first
     reducers = _Packed(ring_)
 
-    def add_reduced(f):
-        """Reduce f; a nonzero remainder joins the basis along with its pairs."""
-        _, r = _reduce(f, reducers, pairs.stats.reduction, pseudo)
+    def remainder(f):
+        return _reduce(f, reducers, pairs.stats.reduction, pseudo)[1]
+
+    def join(r):
+        """r, unless zero, joins the basis, normalized, along with its pairs."""
         if not r.is_zero:
             r = normalize(r)
             bisect.insort(reducers, reducers.pack(r), key=itemgetter(1, 2))
             pairs.add(r)
 
     for g in gens:
-        if not g.is_zero:
-            add_reduced(_primitive(g) if pseudo else g)
+        join(g if check or g.is_zero else remainder(_primitive(g) if pseudo else g))
     for pair in pairs:
-        add_reduced(pair)
+        r = remainder(pair)
+        if check and not r.is_zero:
+            return False
+        join(r)
+    if check:
+        return True
     G = pairs.elements
     if pseudo:
         G = [change_domain(g, ring_.domain) for g in G]
@@ -673,25 +683,12 @@ def gb_equal(g1, g2):
 def is_groebner_basis(polys, limits=None):
     """Decide whether polys is a Groebner basis (strong over ZZ) of its ideal.
 
-    The polys, normalized as completion keeps its elements, seed ``_Pairs``
-    with the chain criterion on.  Each pair it yields is charged to
-    ``limits`` and reduced against the polys in input order, fraction-free
-    over QQ; a Groebner basis reduces every pair to zero, and no skipped
-    pair is needed, so the verdict is that of reducing every pair.
+    ``_complete``'s check mode: the nonzero polys, normalized as completion
+    keeps its elements, seed ``_Pairs`` with the chain criterion on.  Each
+    pair it yields is charged to ``limits`` and reduced, fraction-free over
+    QQ, by the polys in ascending lead-term order, as completion orders its
+    reducers.  In any order a Groebner basis reduces every pair to zero and
+    a non-basis leaves one nonzero; no pair a criterion skips is needed.
     """
-    polys = [p for p in polys if not p.is_zero]
-    if not polys:
-        return True
-    ring_ = _common_ring(polys, None)
-    pseudo = isinstance(ring_.domain, RationalDomain)
-    normalize = _primitive if pseudo else _normalizer(ring_)
-    pairs = _Pairs(ring_, limits, chain=True)
-    polys = [normalize(p) for p in polys]
-    for p in polys:
-        pairs.add(p)
-    reducers = _Packed(polys[0].ring, polys)
-    for pair in pairs:
-        _, r = _reduce(pair, reducers, pairs.stats.reduction, pseudo)
-        if not r.is_zero:
-            return False
-    return True
+    polys = list(polys)
+    return not polys or _complete(polys, _common_ring(polys, None), limits, check=True)

@@ -147,8 +147,11 @@ CYCLIC4_QQ_BASIS = buchberger_field(cyclic(4, QQ)).elements  # 7 elements, 21 pa
                                     _instance("166"), stats), 199, 24),
     # the check builds 8 of the 21 pairs of a Groebner basis
     (lambda stats: is_groebner_basis(CYCLIC4_QQ_BASIS, stats), 8, 0),
+    # generators that are not a basis: the check stops at the first pair
+    (lambda stats: is_groebner_basis(katsura(3, QQ), stats), 1, 0),
 ], ids=["buchberger_z", "buchberger_field-QQ", "buchberger_field-F32003", "gb_mod_m",
-        "torsion_exponent", "main_lemma_check", "is_groebner_basis"])
+        "torsion_exponent", "main_lemma_check", "is_groebner_basis",
+        "is_groebner_basis-not-a-basis"])
 def test_pair_builders_run_once_per_charged_pair(monkeypatch, run, s_pairs, g_pairs):
     """``_Pairs`` builds each pair it charges with ``s_pair_z`` or
     ``g_pair_z``, looked up in ``groebner`` by name at the call: rebinding

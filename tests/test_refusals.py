@@ -56,6 +56,10 @@ class _UnreducedOracle:
     (lambda: buchberger_z([]), ValueError,
      "cannot infer the ring from an empty generator list"),
     (lambda: buchberger_z([P("x"), 3]), TypeError, "expected Polynomial, got int"),
+    (lambda: buchberger_z(["a"]), TypeError, "expected Polynomial, got str"),
+    (lambda: is_groebner_basis([P("x"), 3]), TypeError, "expected Polynomial, got int"),
+    (lambda: is_groebner_basis([P("x"), Polynomial.zero(RXQ)]), RingMismatch,
+     "polynomials live in different rings"),
     (lambda: gb_mod_m([P("x", RXQ)], 5), DomainError, "gb_mod_m expects generators over ZZ"),
     (lambda: gb_equal(buchberger_z([P("x")]), [P("x")]), TypeError,
      "gb_equal compares GroebnerBasis values"),
@@ -93,6 +97,7 @@ class _UnreducedOracle:
     (lambda: homogenize(P("x"), 0, RX), ValueError,
      "homogenization ring must have exactly one extra variable"),
 ], ids=["zero-reducer", "basis-check-over-zz6", "no-generators", "not-a-polynomial",
+        "first-not-a-polynomial", "basis-check-not-a-polynomial", "basis-check-zero-other-ring",
         "gb-mod-m-over-qq", "gb-equal-non-basis", "gb-equal-other-ring",
         "oracle-no-generators", "oracle-over-qq", "oracle-unreduced-answer", "empty-prefix",
         "arnold-no-generators", "arnold-over-qq", "arnold-candidate-other-order",
