@@ -159,8 +159,9 @@ class _Packed(list):
 
 def _packed_for(f, basis):
     """``basis`` as f's reducers: a ``_Packed`` of f's ring as it is, else packed now."""
-    same = isinstance(basis, _Packed) and basis.ring == f.ring
-    return basis if same else _Packed(f.ring, list(basis))
+    ring_ = _common_ring([f], None)
+    same = isinstance(basis, _Packed) and basis.ring == ring_
+    return basis if same else _Packed(ring_, list(basis))
 
 
 def _reduce(f, reducers, step, pseudo=False):
@@ -583,8 +584,12 @@ def _canonicalize(G, ring_, stats):
     step touches a lead term; over a field no other lead monomial divides
     m.  One pass leaves every tail irreducible by unchanged, normalized
     leads: the reduced basis, on distinct lead monomials, so sorted once by
-    ``_poly_sort_key`` and reversed.  Steps are charged to ``stats``, the
-    completion's ``RunStats``, as steps outside completion.
+    ``_poly_sort_key`` and reversed.  An element is reduced only when some
+    other lead reduces a tail term by ``_reduce``'s rule (its monomial
+    divides, and ``coeff_divmod``'s quotient is nonzero): otherwise no step
+    applies, as the leads are unchanged, and its tail is reduced already.
+    Steps are charged to ``stats``, the completion's ``RunStats``, as steps
+    outside completion.
     """
     normalize = _normalizer(ring_)
     G = sorted((normalize(g) for g in G if not g.is_zero),
@@ -595,9 +600,13 @@ def _canonicalize(G, ring_, stats):
         if not any(_strongly_divides(leading_term(h), lt) for h in kept):
             kept.append(g)
     packed = _Packed(ring_, kept)
+    guard, coeff_divmod = _packing(ring_.order, ring_.arity)[2], ring_.domain.coeff_divmod
     for i in range(len(kept)):
-        kept[i] = _reduce(kept[i], packed[:i] + packed[i + 1:], stats.step)[1]
-        packed[i] = packed.pack(kept[i])  # later elements reduce by its new tail
+        others = packed[:i] + packed[i + 1:]
+        if any(not (tE - gE) & guard and coeff_divmod(tc, gc)[0]
+               for tc, _, tE in packed[i][4] for gE, _, gc, *_ in others):
+            kept[i] = _reduce(kept[i], others, stats.step)[1]
+            packed[i] = packed.pack(kept[i])  # later elements reduce by its new tail
     return GroebnerBasis(ring_, tuple(reversed(kept)), reduced=True)
 
 

@@ -13,6 +13,7 @@ from .errors import OracleFailure, ResourceLimitExceeded, StreamExhausted
 from .groebner import (
     GroebnerBasis,
     _basis_over_q,
+    _common_ring,
     _extend_mod_m,
     buchberger_field,
     buchberger_z,
@@ -31,7 +32,7 @@ class IdealOracle:
         gens = list(gens)
         if not gens:
             raise ValueError("oracle needs at least one generator")
-        if not isinstance(gens[0].ring.domain, IntegerDomain):
+        if not isinstance(_common_ring(gens, None).domain, IntegerDomain):
             raise ValueError("oracle generators must live over ZZ")
         self._gens = gens
         self._limits = limits
@@ -112,9 +113,9 @@ def main_lemma_check(oracle, j_gens, limits=None):
     k = len(j_gens)
 
     # One strong basis serves the QQ candidate, the torsion report, each p^a
-    # basis and the certificate.  The saturation and each p^a basis extend it
-    # without treating its pairs again; the reduced strong basis of <J, p^a>
-    # is canonical, so the candidate is the one gb_mod_m would give.
+    # basis and the certificate.  The saturation (from it and the candidate)
+    # and each p^a basis extend it without treating its pairs again; reduced
+    # strong bases are canonical, so each is the one gb_mod_m would give.
     basis = buchberger_z(j_gens, limits)
     q_candidate = _basis_over_q(basis, limits)
     q_oracle = _oracle_answer(oracle, q_candidate.ring)
@@ -122,7 +123,7 @@ def main_lemma_check(oracle, j_gens, limits=None):
         witness = BasisMismatch("rationals", None, q_oracle, q_candidate)
         return Certificate(prefix_length=k, q_match=False, mismatches=(witness,))
 
-    report = torsion_report(basis, limits)
+    report = torsion_report(basis, q_candidate, limits)
     factors = tuple(factorize(report.exponent, limits))
     verdicts = []
     mismatches = []

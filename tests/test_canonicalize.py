@@ -11,6 +11,7 @@ over ZZ, QQ and F_p, in Lex, DegRevLex and Block orders.
 from functools import partial
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -53,11 +54,20 @@ def ideals(draw):
 
 def _saturation_053():
     """<J, r*Y - 1> under Block((0,), Lex(), DegRevLex()), the ideal that
-    the saturation of a certificate completes, for the criterion-1 prefix
-    J = 053: its strong basis has s = 1512 = 2^3 3^3 7, so r = rad(s) = 42."""
+    the saturation of a certificate completed when it ran at r = rad(s),
+    for the criterion-1 prefix J = 053: its strong basis has s = 1512 =
+    2^3 3^3 7, so r = 42."""
     variables, texts = CERTIFY_PREFIXES["053"]
     ring_ = ring(("Y",) + tuple(variables), Block((0,), Lex(), DegRevLex()), ZZ)
     return [parse_polynomial(text, ring_) for text in texts + ("42Y-1",)]
+
+
+# y + x, 2x: the lead monomial x divides the tail term x, whose
+# coefficient 1 is already the canonical residue mod 2, so y + x is kept
+# as it is.  y + 3x, 2x: 3 is not, so y + 3x is reduced to y + x.
+RYX = ring(("y", "x"), Lex(), ZZ)
+RESIDUE_TAIL = [parse_polynomial(t, RYX) for t in ("y+x", "2x")]
+REDUCIBLE_TAIL = [parse_polynomial(t, RYX) for t in ("y+3x", "2x")]
 
 
 def _run(gens):
@@ -70,6 +80,8 @@ def _run(gens):
 
 @given(ideals())
 @example(_saturation_053())
+@example(RESIDUE_TAIL)
+@example(REDUCIBLE_TAIL)
 @settings(max_examples=300)
 def test_one_pass_matches_fixed_point(gens):
     try:
@@ -78,3 +90,21 @@ def test_one_pass_matches_fixed_point(gens):
     except ResourceLimitExceeded:
         assume(False)
     assert _run(gens) == expected
+
+
+@pytest.mark.parametrize("gens, reduced", [(RESIDUE_TAIL, []), (REDUCIBLE_TAIL, ["y+3x"])],
+                         ids=["canonical-residue", "reducible"])
+def test_only_a_reducible_tail_is_reduced(monkeypatch, gens, reduced):
+    """``_canonicalize`` calls ``_reduce`` on an element only when another
+    lead reduces a tail term of it; both bases are <y + x, 2x>."""
+    reduce = groebner._reduce
+    calls = []
+
+    def spying_reduce(f, reducers, step, pseudo=False):
+        calls.append(str(f))
+        return reduce(f, reducers, step, pseudo)
+
+    monkeypatch.setattr(groebner, "_reduce", spying_reduce)
+    basis = groebner._canonicalize(gens, RYX, BUDGET())
+    assert calls == reduced
+    assert [str(g) for g in basis] == ["y+x", "2x"]

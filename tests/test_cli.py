@@ -315,13 +315,14 @@ def test_max_pairs_zero_is_a_budget_of_zero_pairs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, file, spent", [
-    ("torsion", "chain_dp.mg", 28),
-    ("solve-p", "solve_p_demo.mg", 5),
+    ("torsion", "chain_dp.mg", 25),
+    ("solve-p", "solve_p_demo.mg", 4),
 ])
 def test_max_pairs_bounds_the_whole_command(capsys, command, file, spent):
     """One budget for all of a command's completions, the oracle's included:
-    torsion on chain_dp spends 28 pairs over two completions (the larger 19),
-    solve-p on solve_p_demo 5 over nine (none more than 2)."""
+    torsion on chain_dp spends 25 pairs over two completions (the larger 19;
+    K passes the lead-coefficient test), solve-p on solve_p_demo 4 over six
+    (none more than 1).  At rad(s) they spent 28 and 5."""
     assert run(capsys, command, CORPUS / file, "--max-pairs", str(spent))[0] == 0
     code, out, err = run(capsys, command, CORPUS / file, "--max-pairs", str(spent - 1))
     assert (code, out) == (2, "")

@@ -139,12 +139,14 @@ CYCLIC4_QQ_BASIS = buchberger_field(cyclic(4, QQ)).elements  # 7 elements, 21 pa
     (lambda stats: buchberger_field(cyclic(4, QQ), stats), 13, 0),
     (lambda stats: buchberger_field(cyclic(4, ModularDomain(32003)), stats), 8, 0),
     (lambda stats: gb_mod_m(katsura(2, ZZ), 12, stats), 24, 3),
-    # the strong basis, then the saturation seeded with it
-    (lambda stats: torsion_exponent(_instance("166"), stats), 106, 13),
-    # the oracle's bases, then the strong basis, its seeded saturation and
-    # its seeded bases mod 4 and 27 (the torsion exponent is 108)
+    # the strong basis, then K seeded with it and the eliminations at 2
+    # and 3, each seeded with the basis so far (106 / 13 at rad(s))
+    (lambda stats: torsion_exponent(_instance("166"), stats), 82, 10),
+    # the oracle's bases, then the strong basis, its saturation as above
+    # and its seeded bases mod 4 and 27 (the torsion exponent is 108;
+    # 199 / 24 at rad(s))
     (lambda stats: main_lemma_check(IdealOracle(_instance("166"), stats),
-                                    _instance("166"), stats), 199, 24),
+                                    _instance("166"), stats), 175, 21),
     # the check builds 8 of the 21 pairs of a Groebner basis
     (lambda stats: is_groebner_basis(CYCLIC4_QQ_BASIS, stats), 8, 0),
     # generators that are not a basis: the check stops at the first pair

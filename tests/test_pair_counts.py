@@ -34,6 +34,7 @@ from modgrob import (
     torsion_exponent,
 )
 from modgrob import arnold, groebner, torsion
+from modgrob.groebner import _basis_over_q
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import ring
 from test_arnold import integer_scaled_basis
@@ -143,25 +144,30 @@ def test_katsura3_mod_12():
 def test_tail_instance_saturation():
     """The heaviest criterion-1 instance, whose Y-elimination dominated.
 
-    The saturation runs at rad(s) and is seeded with the strong basis, so
-    it treats no pair inside that basis: 512 / 31 / 27,511 pair
+    Run at rad(s) = 42 and seeded with the strong basis, so treating no
+    pair inside that basis, the saturation's 512 / 31 / 27,511 pair
     polynomials and steps became 207 / 22 / 5,233, and pairing no
-    redundant element made them 136 / 17 / 3,672."""
+    redundant element made them 136 / 17 / 3,672.  Starting from K = <J,
+    prim(Q)> and eliminating one prime at a time made them 110 / 12 /
+    2,367 over four completions: K, then 2, 3 and 7, none of which
+    changes K."""
     ring_ = ring(("z", "y", "x"), DegRevLex(), ZZ)
     gens = [parse_polynomial(text, ring_)
             for text in ("6y^3+7y", "-4y^3+zy-2x", "6z^2yx+5z^2y-4y^2x")]
     stats = RunStats()
     report = torsion_exponent(gens, stats)
-    assert spent(stats) == {"completions": 2, "s_pairs": 258, "g_pairs": 33,
-                            "reductions": 5103}
-    # every step: 5,103 completing, 47 reducing the two bases and 167
-    # finding the 13 multipliers, which draw on the same budget
-    assert stats.steps == 5103 + 47 + 167
+    assert spent(stats) == {"completions": 5, "s_pairs": 232, "g_pairs": 28,
+                            "reductions": 3798}
+    # every step: 3,798 completing, 28 reducing the five bases, 7 reducing
+    # the basis over QQ and 167 finding the 13 multipliers, which draw on
+    # the same budget
+    assert stats.steps == 3798 + 28 + 7 + 167
     assert report.exponent == 2 and len(report.saturation_basis) == 13
+    basis = buchberger_z(gens)
     saturation = RunStats()
-    torsion.torsion_report(buchberger_z(gens), saturation)
-    assert spent(saturation) == {"completions": 1, "s_pairs": 136, "g_pairs": 17,
-                                 "reductions": 3672}
+    torsion.torsion_report(basis, _basis_over_q(basis, None), saturation)
+    assert spent(saturation) == {"completions": 4, "s_pairs": 110, "g_pairs": 12,
+                                 "reductions": 2367}
 
 
 KATSURA3_ZZ_PAIRS = 70 + 6  # the pinned pair polynomials of katsura3 over ZZ
@@ -177,7 +183,8 @@ def test_pair_budget_counts_only_built_pairs():
 
 def test_one_run_stats_bounds_the_calls_that_share_it():
     """Calls given one ``RunStats`` spend from it together, what each spends
-    alone."""
+    alone.  The torsion exponent of katsura2 took 40 pairs with one
+    elimination at rad(s), and takes 48 with K and one per prime."""
     calls = [lambda limits: buchberger_z(katsura(3, ZZ), limits),
              lambda limits: torsion_exponent(katsura(2, ZZ), limits)]
     alone = []
@@ -189,7 +196,7 @@ def test_one_run_stats_bounds_the_calls_that_share_it():
     for call in calls:
         call(shared)
     assert (shared.pairs, shared.reductions, shared.steps) == tuple(map(sum, zip(*alone)))
-    assert [pairs for pairs, _, _ in alone] == [KATSURA3_ZZ_PAIRS, 40]
+    assert [pairs for pairs, _, _ in alone] == [KATSURA3_ZZ_PAIRS, 48]
     shared = RunStats(max_pairs=KATSURA3_ZZ_PAIRS)  # enough for either call alone
     calls[0](shared)
     with pytest.raises(ResourceLimitExceeded, match=r"^pair budget exhausted \(76\)"):
@@ -263,35 +270,43 @@ CERTIFY_PREFIXES = {
 }
 
 
-@pytest.mark.parametrize("instance, exponent, s_pairs, g_pairs, reductions", [
-    ("053", 2, 136, 17, 3672),
-    ("024", 296352, 378, 29, 1866),
-    ("074", 2744, 176, 20, 508),
-    ("119", 16, 111, 11, 639),
-    ("166", 108, 50, 6, 107),
+@pytest.mark.parametrize("instance, exponent, completions, s_pairs, g_pairs, reductions", [
+    ("053", 2, 4, 110, 12, 2367),
+    ("024", 296352, 3, 173, 17, 756),
+    ("074", 2744, 3, 68, 6, 200),
+    ("119", 16, 3, 54, 6, 233),
+    ("166", 108, 3, 26, 3, 45),
 ], ids=["053", "024", "074", "119", "166"])
-def test_certify_saturation_work(instance, exponent, s_pairs, g_pairs, reductions):
-    """The saturation in a certificate is seeded with the strong basis and
-    runs at rad(s): its pair polynomials and steps are pinned here, so a
-    seed that treats its pairs again, or a saturation at s, fails."""
+def test_certify_saturation_work(instance, exponent, completions, s_pairs, g_pairs,
+                                 reductions):
+    """The saturation in a certificate completes K = <J, prim(Q)> seeded
+    with the strong basis, then eliminates at each prime of s that still
+    divides a lead coefficient, seeded with the basis so far.  Its
+    completions, pair polynomials and steps are pinned here, so a seed that
+    treats its pairs again, or an elimination the lead-coefficient test
+    skips (024 skips 2), fails.  At rad(s), in one elimination seeded with
+    J, they read 136 / 17 / 3,672, 378 / 29 / 1,866, 176 / 20 / 508,
+    111 / 11 / 639 and 50 / 6 / 107."""
     variables, texts = CERTIFY_PREFIXES[instance]
     ring_ = ring(tuple(variables), DegRevLex(), ZZ)
     basis = buchberger_z([parse_polynomial(text, ring_) for text in texts])
     stats = RunStats()
-    report = torsion.torsion_report(basis, stats)
+    report = torsion.torsion_report(basis, _basis_over_q(basis, None), stats)
     assert report.exponent == exponent
-    assert spent(stats) == {"completions": 1, "s_pairs": s_pairs, "g_pairs": g_pairs,
-                            "reductions": reductions}
+    assert spent(stats) == {"completions": completions, "s_pairs": s_pairs,
+                            "g_pairs": g_pairs, "reductions": reductions}
 
 
 @pytest.mark.parametrize("k, accepted, completions, s_pairs, g_pairs, reductions", [
-    (3, True, 3, 275, 34, 5223),
+    (3, True, 6, 249, 29, 3918),
     (2, False, 1, 18, 3, 53),
 ], ids=["053", "053-rejected-over-qq"])
 def test_certificate_work(k, accepted, completions, s_pairs, g_pairs, reductions):
     """A certificate completes its prefix once, over ZZ, and every later
-    stage reads that strong basis.  Prefix 053 completes three times: the
-    strong basis, the seeded saturation and the seeded basis mod 2.  Its
+    stage reads that strong basis.  Prefix 053 completes six times: the
+    strong basis, K seeded with it, the eliminations at 2, 3 and 7 and the
+    seeded basis mod 2 (three times, 275 / 34 / 5,223, when the saturation
+    was one elimination at rad(s)).  Its
     first two generators fail over QQ after the strong basis alone.  The
     oracle answers from the cache a first call filled, so only the
     certificate's own work is counted."""

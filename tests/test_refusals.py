@@ -24,6 +24,7 @@ from modgrob import (
     homogenize,
     is_groebner_basis,
     main_lemma_check,
+    minimal_multiplier,
     monic,
     normal_form,
     parse_polynomial,
@@ -68,6 +69,7 @@ class _UnreducedOracle:
     # lemma
     (lambda: IdealOracle([]), ValueError, "oracle needs at least one generator"),
     (lambda: IdealOracle([P("x", RXQ)]), ValueError, "oracle generators must live over ZZ"),
+    (lambda: IdealOracle(["a"]), TypeError, "expected Polynomial, got str"),
     (lambda: main_lemma_check(_UnreducedOracle(), [P("x")]), OracleFailure,
      "oracle must return reduced GroebnerBasis values"),
     (lambda: main_lemma_check(IdealOracle([P("x")]), []), ValueError,
@@ -86,6 +88,9 @@ class _UnreducedOracle:
     # torsion
     (lambda: torsion_exponent([]), ValueError, "need at least one polynomial to fix the ring"),
     (lambda: torsion_exponent([P("x", RXQ)]), DomainError, "torsion exponent works over ZZ"),
+    (lambda: torsion_exponent(["a"]), TypeError, "expected Polynomial, got str"),
+    (lambda: minimal_multiplier("x", buchberger_z([P("x")])), TypeError,
+     "expected Polynomial, got str"),
     # intarith
     (lambda: crt_coefficients([]), ValueError, "need at least one modulus"),
     # polyring
@@ -99,10 +104,12 @@ class _UnreducedOracle:
 ], ids=["zero-reducer", "basis-check-over-zz6", "no-generators", "not-a-polynomial",
         "first-not-a-polynomial", "basis-check-not-a-polynomial", "basis-check-zero-other-ring",
         "gb-mod-m-over-qq", "gb-equal-non-basis", "gb-equal-other-ring",
-        "oracle-no-generators", "oracle-over-qq", "oracle-unreduced-answer", "empty-prefix",
+        "oracle-no-generators", "oracle-over-qq", "oracle-not-a-polynomial",
+        "oracle-unreduced-answer", "empty-prefix",
         "arnold-no-generators", "arnold-over-qq", "arnold-candidate-other-order",
         "arnold-candidate-mod-7", "arnold-candidate-over-qq", "torsion-no-generators",
-        "torsion-over-qq", "crt-no-moduli", "modulus-one", "unknown-order", "wrong-arity",
+        "torsion-over-qq", "torsion-not-a-polynomial", "multiplier-not-a-polynomial",
+        "crt-no-moduli", "modulus-one", "unknown-order", "wrong-arity",
         "monic-over-zz", "homogenize-wrong-ring"])
 def test_malformed_arguments_are_refused(call, error, message):
     with pytest.raises(error) as err:
