@@ -2,13 +2,14 @@
 
 Over a field the engine is the classical one: S-polynomials, full
 reduction, monic reduced bases.  Over QQ it runs fraction-free, on
-primitive integer polynomials reduced by pseudo-division, and makes the
-elements monic only at the end.  Over ZZ it computes strong bases: besides
-S-pairs it closes under G-pairs (Bezout combinations of the leading
-coefficients on the lcm monomial) and reduction is coefficient-aware, with
-remainders canonical in [0, lead coefficient).  Bases over ZZ/m for
-composite m are obtained by adjoining the constant m over ZZ and mapping
-down, so one completion engine covers every domain.
+primitive integer polynomials reduced by pseudo-division, tail reduction
+included, and makes the elements monic only at the end.  Over ZZ it
+computes strong bases: besides S-pairs it closes under G-pairs (Bezout
+combinations of the leading coefficients on the lcm monomial) and
+reduction is coefficient-aware, with remainders canonical in [0, lead
+coefficient).  Bases over ZZ/m for composite m are obtained by adjoining
+the constant m over ZZ and mapping down, so one completion engine covers
+every domain.
 """
 
 import bisect
@@ -16,6 +17,7 @@ import heapq
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, le, mul, sub
 
@@ -356,19 +358,6 @@ def _normalizer(ring_):
     raise DomainError(f"{dom.name}: only fields and ZZ are supported")
 
 
-def _strongly_divides(lt_small, lt_big):
-    (c1, m1), (c2, m2) = lt_small, lt_big
-    return monomial_divides(m1, m2) and c2 % c1 == 0
-
-
-def _poly_sort_key(key):
-    """Rank by lead term, which decides: each new working element is fully
-    reduced by all earlier ones, so over a field no earlier lead monomial
-    divides its own, and over ZZ its lead coefficient is a canonical residue
-    in [1, |a|) for every applicable lead coefficient a: no two share one."""
-    return lambda f: (key(leading_monomial(f)), leading_coefficient(f))
-
-
 def _common_ring(gens, ring_):
     for g in gens:
         if not isinstance(g, Polynomial):
@@ -486,7 +475,7 @@ class _Pairs:
                 self.pending.add((i, j))
             if b % a and a % b:
                 heapq.heappush(self.queue, (lcm_key, G_PAIR, j, i, lcm))
-            if self.chain and _strongly_divides((b, mg), (a, mf)):
+            if self.chain and a % b == 0 and monomial_divides(mg, mf):
                 self.witness[i] = j
         self.leads.append((b, mg))
 
@@ -526,28 +515,26 @@ def _complete(gens, ring_, limits, seeded=0, check=False):
     """Close the generators under the pairs ``_Pairs`` yields, then canonicalize.
 
     The first ``seeded`` generators must be a reduced Groebner basis
-    (strong over ZZ).  Each is its own remainder, so it joins the basis
-    unchanged, and ``_Pairs`` treats no pair between two of them.  Only
-    callers that built that basis themselves pass it.
+    (strong over ZZ), which only callers that built it pass.  Each is its
+    own remainder, so it joins as given, unreduced, and ``_Pairs`` treats
+    no pair between two of them.
 
     ``check`` makes it ``is_groebner_basis``, counted as no completion: the
     generators join unreduced, and the result is False at the first pair
     with a nonzero remainder, else True.
 
     Over QQ the elements are ``_primitive`` integer polynomials that reduce
-    by pseudo-division and become monic ``Fraction`` polynomials only for
-    ``_canonicalize``.
-    Every working polynomial is a nonzero rational multiple of the one
-    ``Fraction`` arithmetic would hold, so zero tests, lead monomials,
-    reducer choices, pairs, counts and the reduced basis are those of the
-    ``Fraction`` path.
+    by pseudo-division.  Every working polynomial is a nonzero rational
+    multiple of the one ``Fraction`` arithmetic would hold, so zero tests,
+    lead monomials, reducer choices, pairs, counts and the reduced basis
+    are those of the ``Fraction`` path.
     """
     pseudo = isinstance(ring_.domain, RationalDomain)
     normalize = _primitive if pseudo else _normalizer(ring_)
     pairs = _Pairs(ring_, limits, chain=check or not pseudo, seeded=seeded)
     pairs.stats.completions += not check
-    # the elements packed as they join, ascending by lead term: smaller reducers apply first
-    reducers = _Packed(ring_)
+    # elements and packed forms, index for index, ascending by lead term: smaller reducers first
+    polys, reducers = [], _Packed(ring_)
 
     def remainder(f):
         return _reduce(f, reducers, pairs.stats.reduction, pseudo)[1]
@@ -556,57 +543,66 @@ def _complete(gens, ring_, limits, seeded=0, check=False):
         """r, unless zero, joins the basis, normalized, along with its pairs."""
         if not r.is_zero:
             r = normalize(r)
-            bisect.insort(reducers, reducers.pack(r), key=itemgetter(1, 2))
+            packed = reducers.pack(r)
+            at = bisect.bisect(reducers, packed[1:3], key=itemgetter(1, 2))
+            reducers.insert(at, packed)
+            polys.insert(at, r)
             pairs.add(r)
 
-    for g in gens:
-        join(g if check or g.is_zero else remainder(_primitive(g) if pseudo else g))
+    for k, g in enumerate(gens):
+        join(g if check or k < seeded or g.is_zero else remainder(_primitive(g) if pseudo else g))
     for pair in pairs:
         r = remainder(pair)
         if check and not r.is_zero:
             return False
         join(r)
-    if check:
-        return True
-    G = pairs.elements
-    if pseudo:
-        G = [change_domain(g, ring_.domain) for g in G]
-    return _canonicalize(G, ring_, pairs.stats)
+    return True if check else _canonicalize(polys, reducers, ring_, pairs.stats)
 
 
-def _canonicalize(G, ring_, stats):
+def _canonicalize(polys, packed, ring_, stats):
     """Minimize and (strongly) tail-reduce a complete basis in one pass.
 
-    G is complete (strong over ZZ).  For kept g, h with leads c*m, d*m'
-    and m' | m, some kept lead strongly divides the lead gcd(c, d)*m of a
-    combination of g and h; by minimality it is g's, so c | d, and c != d
-    or h would strongly divide g.  So d > c, c divided by d is 0, and no
-    step touches a lead term; over a field no other lead monomial divides
-    m.  One pass leaves every tail irreducible by unchanged, normalized
-    leads: the reduced basis, on distinct lead monomials, so sorted once by
-    ``_poly_sort_key`` and reversed.  An element is reduced only when some
-    other lead reduces a tail term by ``_reduce``'s rule (its monomial
+    ``polys``, complete (strong over ZZ) and normalized as completion keeps
+    it (over QQ ``_primitive``), and ``packed``, the same packed, are
+    completion's reducer list, ascending by lead term (K, c): the order
+    here.  Only an element a tail reduction changes is packed again.
+
+    For kept g, h with leads c*m, d*m' and m' | m, some kept lead strongly
+    divides the lead gcd(c, d)*m of a combination of g and h; by minimality
+    it is g's, so c | d, and c != d or h would strongly divide g.  So d > c,
+    c divided by d is 0, and no step touches a lead term; over a field no
+    other lead monomial divides m.  One pass leaves every tail irreducible
+    by unchanged, normalized leads: the reduced basis, on distinct lead
+    monomials, descending once reversed.  An element is reduced only when
+    some other lead reduces a tail term by ``_reduce``'s rule (its monomial
     divides, and ``coeff_divmod``'s quotient is nonzero): otherwise no step
     applies, as the leads are unchanged, and its tail is reduced already.
-    Steps are charged to ``stats``, the completion's ``RunStats``, as steps
-    outside completion.
+
+    Over QQ a tail reduces by pseudo-division: each step is the QQ step up
+    to a nonzero rational factor, by the same reducer, the first whose lead
+    monomial divides, so the steps and the monic remainder are those of the
+    ``Fraction`` path.  Each kept element becomes monic once, at the end.
+    Steps go to ``stats``, the completion's, as steps outside completion.
     """
-    normalize = _normalizer(ring_)
-    G = sorted((normalize(g) for g in G if not g.is_zero),
-               key=_poly_sort_key(monomial_key(ring_.order)))
-    kept = []
-    for g in G:
-        lt = leading_term(g)
-        if not any(_strongly_divides(leading_term(h), lt) for h in kept):
-            kept.append(g)
-    packed = _Packed(ring_, kept)
+    field = ring_.domain.is_field
+    pseudo = isinstance(ring_.domain, RationalDomain)
     guard, coeff_divmod = _packing(ring_.order, ring_.arity)[2], ring_.domain.coeff_divmod
+    kept, reducers = [], []
+    for g, entry in zip(polys, packed):  # kept unless an earlier kept lead strongly divides
+        if not any(not (entry[0] - hE) & guard and (field or entry[2] % hc == 0)
+                   for hE, _, hc, *_ in reducers):
+            kept.append(g)
+            reducers.append(entry)
     for i in range(len(kept)):
-        others = packed[:i] + packed[i + 1:]
-        if any(not (tE - gE) & guard and coeff_divmod(tc, gc)[0]
-               for tc, _, tE in packed[i][4] for gE, _, gc, *_ in others):
-            kept[i] = _reduce(kept[i], others, stats.step)[1]
-            packed[i] = packed.pack(kept[i])  # later elements reduce by its new tail
+        others = reducers[:i] + reducers[i + 1:]
+        if any(not (tE - gE) & guard and (field or coeff_divmod(tc, gc)[0])
+               for tc, _, tE in reducers[i][4] for gE, _, gc, *_ in others):
+            r = _reduce(kept[i], others, stats.step, pseudo)[1]
+            kept[i] = _primitive(r) if pseudo else r
+            reducers[i] = packed.pack(kept[i])  # later elements reduce by its new tail
+    if pseudo:
+        kept = [Polynomial(ring_, tuple((Fraction(c, g.terms[0][0]), m) for c, m in g.terms))
+                for g in kept]
     return GroebnerBasis(ring_, tuple(reversed(kept)), reduced=True)
 
 
@@ -666,9 +662,12 @@ def _extend_mod_m(basis, m, limits):
 
 
 def _basis_over_q(basis, limits):
-    """The reduced basis of QQ J from the strong basis of J, a Groebner basis of QQ J."""
-    ring_ = with_domain(basis.ring, QQ)
-    return _canonicalize([change_domain(g, QQ) for g in basis], ring_, limits or RunStats())
+    """The reduced basis of QQ J from the strong basis of J, a Groebner basis
+    of QQ J: its primitive forms, ascending by lead monomial (distinct in a
+    reduced strong basis, so no tie), canonicalized as completion's are."""
+    polys = [_primitive(g) for g in reversed(basis.elements)]
+    return _canonicalize(polys, _Packed(basis.ring, polys), with_domain(basis.ring, QQ),
+                         limits or RunStats())
 
 
 def _image_mod(base, m):

@@ -18,11 +18,14 @@ are renamed by what they specify:
   (``test_pair_criteria``);
 - ``fixed_point_canonicalize``: ``_canonicalize`` when it repeated
   minimization and tail reduction until a pass changed nothing
-  (``test_canonicalize``);
+  (``test_canonicalize``), taking ``_canonicalize``'s later signature;
+- ``canonicalize_list``, not a frozen copy: ``_canonicalize`` of a list
+  in any order, ordered and packed as completion hands its reducers over;
 - ``_ReducerView``: the sorted reducer list of those completion loops;
-- ``_domain_rules`` and ``_poly_sort_key``, the helpers of that time for
-  every frozen completion, canonicalization and check here: each domain's
-  normaliser and pair functions, and a sort key over every term;
+- ``_domain_rules``, ``_poly_sort_key`` and ``_strongly_divides``, the
+  helpers of that time for every frozen completion, canonicalization and
+  check here: each domain's normaliser and pair functions, a sort key over
+  every term, and whether one lead term strongly divides another;
 - ``reference_is_groebner_basis``: ``is_groebner_basis`` before it
   skipped pairs, reducing every S-pair and G-pair (``test_groebner_check``);
 - ``reference_contract``: ``torsion._contract`` when it saturated at s
@@ -76,7 +79,6 @@ from modgrob.groebner import (
     _primitive,
     _reduce,
     _sign_normalized,
-    _strongly_divides,
     g_pair_z,
     s_pair_z,
     s_polynomial_field,
@@ -97,6 +99,7 @@ from modgrob.polyring import (
     IntegerDomain,
     RationalDomain,
     _same_ring,
+    change_domain,
     fresh_variable_name,
     leading_coefficient,
     leading_monomial,
@@ -134,6 +137,11 @@ def _poly_sort_key(key):
     def inner(f):
         return tuple((key(m), c) for c, m in f.terms)
     return inner
+
+
+def _strongly_divides(lt_small, lt_big):
+    (c1, m1), (c2, m2) = lt_small, lt_big
+    return monomial_divides(m1, m2) and c2 % c1 == 0
 
 
 class _ReducerView:
@@ -445,6 +453,22 @@ def fraction_canonicalize(G, ring_, key):
     raise ResourceLimitExceeded("basis reduction did not stabilize")
 
 
+def canonicalize_list(G, ring_, stats):
+    """``_canonicalize`` of a Groebner basis given as a list in any order:
+    its nonzero elements normalized as completion keeps them (``_primitive``
+    over QQ), ascending by lead term and packed, as completion hands over
+    its reducer list."""
+    if isinstance(ring_.domain, RationalDomain):
+        polys = [_primitive(g) for g in G if not g.is_zero]
+    else:
+        normalize, _ = _domain_rules(ring_)
+        polys = [normalize(g) for g in G if not g.is_zero]
+    key = monomial_key(ring_.order)
+    polys.sort(key=lambda f: (key(leading_monomial(f)), leading_coefficient(f)))
+    packed = _Packed(polys[0].ring if polys else ring_, polys)
+    return _canonicalize(polys, packed, ring_, stats)
+
+
 def criteria_free_complete(gens, ring_, limits, seeded=0):
     """Close the generators under their pair polynomials, then canonicalize.
 
@@ -491,10 +515,10 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
         _, kind, _, i, j = heapq.heappop(queue)
         budget.pair()
         add_reduced(pair_functions[kind](G[i], G[j]))
-    return _canonicalize(G, ring_, budget)
+    return canonicalize_list(G, ring_, budget)
 
 
-def fixed_point_canonicalize(G, ring_, stats):
+def fixed_point_canonicalize(polys, packed, ring_, stats):
     """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
 
     Over a field the first pass already gives the reduced basis and the
@@ -503,11 +527,12 @@ def fixed_point_canonicalize(G, ring_, stats):
     not the last takes a reduction step, and every step is charged to
     ``stats``, the completion's ``RunStats``, so the loop ends.  Its
     signature is ``_canonicalize``'s, so that a test can patch one for the
-    other; the order key is read off the ring.
+    other: ``packed`` is not read, ``polys`` may come in any order and,
+    over QQ, as integer polynomials, and the order key is read off the ring.
     """
     key = monomial_key(ring_.order)
     normalize, _ = _domain_rules(ring_)
-    G = [normalize(g) for g in G if not g.is_zero]
+    G = [normalize(change_domain(g, ring_.domain)) for g in polys if not g.is_zero]
     while True:
         G.sort(key=_poly_sort_key(key))
         kept = []

@@ -31,7 +31,6 @@ from modgrob.arnold import (
     ArnoldReport,
     _nonzero_images_mod_p,
 )
-from modgrob.groebner import _canonicalize
 from modgrob.intarith import is_prime
 from modgrob.polyring import (
     DegRevLex,
@@ -45,7 +44,7 @@ from modgrob.polyring import (
     ring,
     with_domain,
 )
-from reference import reference_is_groebner_basis
+from reference import canonicalize_list, reference_is_groebner_basis
 
 R1 = ring(("x",), Lex(), ZZ)
 R2 = ring(("x", "h"), Lex(), ZZ)
@@ -58,7 +57,7 @@ def P(text, ring_=R1):
 def canonical_basis(polys):
     """The reduced basis of polys, a Groebner basis of a nonzero ideal."""
     ring_ = polys[0].ring
-    return _canonicalize(polys, ring_, RunStats())
+    return canonicalize_list(polys, ring_, RunStats())
 
 
 def test_nonhomogeneous_counterexample_all_conditions_hold():

@@ -5,7 +5,10 @@ when it repeated minimization and tail reduction until a pass changed
 nothing.  It is the specification: a complete basis needs one pass (the
 proof is in the ``_canonicalize`` docstring), so every completion must
 return the same basis, after the same tail-reduction steps, with either,
-over ZZ, QQ and F_p, in Lex, DegRevLex and Block orders.
+over ZZ, QQ and F_p, in Lex, DegRevLex and Block orders.  It and
+``reference.fraction_canonicalize``, the ``Fraction`` arithmetic of its
+time, also specify ``_basis_over_q``, which reduces the primitive forms of
+a strong basis by pseudo-division.
 """
 
 from functools import partial
@@ -29,9 +32,10 @@ from modgrob import (
     buchberger_z,
     groebner,
 )
+from modgrob.groebner import _basis_over_q
 from modgrob.parser import parse_polynomial
-from modgrob.polyring import ring
-from reference import fixed_point_canonicalize
+from modgrob.polyring import change_domain, monomial_key, ring, with_domain
+from reference import canonicalize_list, fixed_point_canonicalize, fraction_canonicalize
 from test_pair_counts import CERTIFY_PREFIXES
 
 ORDERS = [Lex(), DegRevLex(), Block((0,), Lex(), DegRevLex()),
@@ -105,6 +109,40 @@ def test_only_a_reducible_tail_is_reduced(monkeypatch, gens, reduced):
         return reduce(f, reducers, step, pseudo)
 
     monkeypatch.setattr(groebner, "_reduce", spying_reduce)
-    basis = groebner._canonicalize(gens, RYX, BUDGET())
+    basis = canonicalize_list(gens, RYX, BUDGET())
     assert calls == reduced
     assert [str(g) for g in basis] == ["y+x", "2x"]
+
+
+@given(ideals())
+@example(_saturation_053())
+@example(RESIDUE_TAIL)  # over QQ, x reduces the tail of y + x
+@settings(max_examples=200)
+def test_completion_and_basis_over_q_match_references(gens):
+    """Element by element, and with the same ``RunStats.steps``: completion
+    over ZZ, QQ and F_7 against ``fixed_point_canonicalize``, and over ZZ
+    ``_basis_over_q`` of the strong basis against it and against
+    ``fraction_canonicalize``."""
+    ring_ = gens[0].ring
+    complete = buchberger_z if ring_.domain == ZZ else buchberger_field
+    expected_stats, stats = BUDGET(), BUDGET()
+    try:
+        with mock.patch.object(groebner, "_canonicalize", fixed_point_canonicalize):
+            expected = complete(gens, expected_stats)
+    except ResourceLimitExceeded:
+        assume(False)
+    basis = complete(gens, stats)
+    assert basis.elements == expected.elements
+    assert stats.steps == expected_stats.steps
+    if ring_.domain != ZZ:
+        return
+    q_ring = with_domain(ring_, QQ)
+    images = [change_domain(g, QQ) for g in basis]
+    expected_stats, stats = BUDGET(), BUDGET()
+    expected = fixed_point_canonicalize(images, None, q_ring, expected_stats)
+    q_basis = _basis_over_q(basis, stats)
+    assert q_basis.ring == q_ring
+    assert q_basis.elements == expected.elements
+    assert q_basis.elements == fraction_canonicalize(images, q_ring,
+                                                     monomial_key(ring_.order)).elements
+    assert stats.steps == expected_stats.steps

@@ -259,6 +259,40 @@ def test_reduction_budget_bounds_canonicalization():
         buchberger_z(katsura(3, ZZ), RunStats(max_reductions=KATSURA3_ZZ_STEPS + 11))
 
 
+def test_seeded_completion_packs_each_element_once(monkeypatch):
+    """A seeded completion joins its seed unreduced, and ``_canonicalize``
+    works on completion's packed reducer list: ``_extend_mod_m`` of the
+    strong basis of katsura2 at m = 9 reduces no seed element to join it,
+    and packs each of the 11 joined elements once, plus each of the 3
+    elements a tail reduction changes.  Reducing each of the 6 seed elements
+    to join it, and packing every kept element again, took 19 packings."""
+    basis = buchberger_z(katsura(2, ZZ))
+    reduce, pack, add = groebner._reduce, groebner._Packed.pack, groebner._Pairs.add
+    stats = RunStats()
+    reduced, tail_reduced, packed, joined = [], [], [], []
+
+    def spying_reduce(f, reducers, step, pseudo=False):
+        (reduced if step == stats.reduction else tail_reduced).append(f)
+        return reduce(f, reducers, step, pseudo)
+
+    def spying_pack(self, g):
+        packed.append(g)
+        return pack(self, g)
+
+    def spying_add(self, g):
+        joined.append(g)
+        return add(self, g)
+
+    monkeypatch.setattr(groebner, "_reduce", spying_reduce)
+    monkeypatch.setattr(groebner._Packed, "pack", spying_pack)
+    monkeypatch.setattr(groebner._Pairs, "add", spying_add)
+    groebner._extend_mod_m(basis, 9, stats)
+    assert not set(basis.elements) & set(reduced)
+    assert joined[:len(basis)] == list(basis.elements)
+    assert (len(joined), len(tail_reduced), len(packed)) == (11, 3, 14)
+    assert spent(stats) == {"completions": 1, "s_pairs": 12, "g_pairs": 2, "reductions": 88}
+
+
 # Criterion-1 prefixes (seed 20260808) whose saturation was the costliest,
 # with instance 053 the tail instance above: (variables, generators).
 CERTIFY_PREFIXES = {
