@@ -15,11 +15,9 @@ every domain.
 import bisect
 import heapq
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter, le, mul, sub
+from operator import itemgetter, le
 
 from .errors import (
     DomainError,
@@ -38,11 +36,12 @@ from .polyring import (
     Polynomial,
     RationalDomain,
     RingDescriptor,
-    _combine,
+    _common_ring,
+    _Packed,
+    _packed_terms,
+    _packing,
     change_domain,
     leading_coefficient,
-    leading_monomial,
-    leading_term,
     monic,
     monomial_divides,
     monomial_key,
@@ -115,50 +114,6 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 # reduction
 
-_FIELD = 64  # bits per packed digit; total degrees stay below 2^(_FIELD - 1)
-
-
-@lru_cache(maxsize=None)
-def _packing(order, arity):
-    """(weights, fields, guard) that pack monomials for ``_reduce``: K(e) is
-    sum(map(mul, e, weights)), E(e) ``fields`` packing (*e, sum(e))."""
-    key = monomial_key(order)
-    weights = tuple(sum(d << _FIELD * k for k, d in enumerate(reversed(
-        key(tuple(int(i == j) for j in range(arity)))))) for i in range(arity))
-    guard = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(arity + 1))
-    return weights, struct.Struct(f"<{arity}Qq"), guard
-
-
-def _packed_terms(f):
-    """(c, K, E) of each term of f; the fields refuse a negative exponent
-    and a total degree of 2^63 or more."""
-    weights, fields, _ = _packing(f.ring.order, f.ring.arity)
-    pack, from_bytes = fields.pack, int.from_bytes
-    try:
-        return [(c, sum(map(mul, e, weights)), from_bytes(pack(*e, sum(e)), "little"))
-                for c, e in f.terms]
-    except struct.error:
-        raise ExponentOverflow("a monomial leaves the packed exponent fields") from None
-
-
-class _Packed(list):
-    """Nonzero polynomials of ``ring``, each packed once as ``_reduce`` reads
-    it: (E, K, lead coefficient, limit, tail (c, K, E) terms), limit the
-    least shift E that would carry the largest tail E's total degree to 2^63."""
-
-    def __init__(self, ring_, polys=()):
-        self.ring = _common_ring(polys, ring_)
-        if any(g.is_zero for g in polys):
-            raise ZeroPolynomial("zero polynomial in reducer list")
-        super().__init__(map(self.pack, polys))
-
-    def pack(self, g):
-        (c, K, E), *tail = _packed_terms(g)
-        top = _FIELD * self.ring.arity
-        room = (1 << _FIELD - 1) - (max((tE for *_, tE in tail), default=0) >> top)
-        return E, K, c, room << top, tuple(tail)
-
-
 def _packed_for(f, basis):
     """``basis`` as f's reducers: a ``_Packed`` of f's ring as it is, else packed now."""
     ring_ = _common_ring([f], None)
@@ -169,12 +124,12 @@ def _packed_for(f, basis):
 def _reduce(f, reducers, step, pseudo=False):
     """Shared division loop; deterministic: first eligible reducer wins.
 
-    ``reducers`` is a ``_Packed`` list, or a slice of one.  Returns
-    (multiplier, remainder): multiplier * f - remainder is a combination of
-    the reducers with polynomial cofactors over f's domain, an integer
-    combination over ZZ.  A term is moved to the remainder only once no
-    reducer changes it, which over ZZ / ZZ/m means its coefficient is the
-    canonical residue for every applicable lead coefficient.
+    ``f`` is a Polynomial or a pair's dividend, ``reducers`` a ``_Packed``
+    list or a slice of one.  Returns (multiplier, remainder): multiplier * f
+    - remainder is a combination of the reducers with polynomial cofactors
+    over f's domain, an integer combination over ZZ.  A term is moved to the
+    remainder only once no reducer changes it, which over ZZ / ZZ/m means its
+    coefficient is the canonical residue for every applicable lead coefficient.
 
     ``pseudo`` divides integer polynomials as QQ would, by the first
     reducer whose lead monomial divides: the working polynomial and the
@@ -183,34 +138,20 @@ def _reduce(f, reducers, step, pseudo=False):
     The multiplier is the product of these scales, 1 without ``pseudo``;
     ``step`` is called once per step.
 
-    Monomials are packed ints (Bachmann and Schoenemann, ISSAC 1998).  An
-    order key is linear in the exponents e (Lex is e, DegRevLex (sum(e),
-    -e_n, ..., -e_1), a Block two keys concatenated), and K(e) packs its
-    digits in balanced base 2^64: K(a b) = K(a) + K(b).  Each digit is an
-    exponent, its negative or a sum of exponents, so while total degrees
-    stay below 2^63, |digit| < 2^63: K is injective, and the first
-    differing digit outweighs all lower ones, so integer order on K is the
-    term order.  E packs e_1 .. e_n and sum(e) in 64-bit fields below 2^63:
-    a divides b iff no field of E(b) - E(a) has its top bit set, as the
-    lowest field with a_i > b_i borrows and holds 2^64 + b_i - a_i >= 2^63.
-    Exponents enter at most at ``_MAX_EXPONENT`` = 2^31 but grow in Lex and
-    Block reductions (x y^N by x - y^N leaves y^2N): a monomial past the
-    bound, given or about to be made by a step, raises ``ExponentOverflow``
-    and never gives an inexact remainder.  The working polynomial is keyed
-    by K, a lazy max-heap holds -K, and a step with shift s moves a tail
-    term to tK + sK, recording tE + sE for each new monomial, the only ones
-    popped.  New coefficients are only reduced mod m over ZZ/m: int and
-    Fraction arithmetic is already canonical over ZZ and QQ.  Only
-    remainder terms are unpacked.
+    The working polynomial (ring, work, exps) keys its coefficients and E's
+    by K (see ``_packing``); a lazy max-heap holds -K.  A step with shift s
+    moves a tail term to tK + sK, recording tE + sE for each new monomial, the
+    only ones popped.  New coefficients are reduced only over ZZ/m (int and
+    Fraction arithmetic is canonical), and only remainder terms are unpacked.
     """
-    dom = f.ring.domain
+    if isinstance(f, Polynomial):
+        terms = _packed_terms(f.ring, f.terms)
+        f = f.ring, {K: c for c, K, _ in terms}, {K: E for _, K, E in terms}
+    ring_, work, exps = f
+    dom = ring_.domain
     coeff_divmod = dom.coeff_divmod
     modulus = dom.modulus if isinstance(dom, ModularDomain) else None
-    _, fields, guard = _packing(f.ring.order, f.ring.arity)
-    work, exps = {}, {}
-    for c, K, E in _packed_terms(f):
-        work[K] = c
-        exps[K] = E
+    _, fields, guard = _packing(ring_.order, ring_.arity)
     heap = [-K for K in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -222,7 +163,7 @@ def _reduce(f, reducers, step, pseudo=False):
         if c is None:
             continue
         E = exps[K]
-        for gE, gK, gc, limit, gtail in reducers:
+        for gE, gK, gc, limit, gtail, _, _ in reducers:
             sE = E - gE
             if sE & guard:
                 continue
@@ -276,8 +217,8 @@ def _reduce(f, reducers, step, pseudo=False):
             # partially reduced lead coefficient: revisit the same monomial
             work[K] = c
             heappush(heap, -K)
-    n, width = f.ring.arity, fields.size
-    return multiplier, Polynomial(f.ring, tuple(
+    n, width = ring_.arity, fields.size
+    return multiplier, Polynomial(ring_, tuple(
         (c, fields.unpack(E.to_bytes(width, "little"))[:n]) for c, E in rem))
 
 
@@ -295,39 +236,54 @@ def ideal_member(f, basis):
 # ---------------------------------------------------------------------------
 # pair polynomials
 
-def _pair_polynomial(f, u, g, v):
-    """u * (lcm / lm(f)) * f + v * (lcm / lm(g)) * g, lcm that of the lead monomials."""
-    mf, mg = leading_monomial(f), leading_monomial(g)
-    lcm = monomial_lcm(mf, mg)
-    parts = ((f, u, tuple(map(sub, lcm, mf))), (g, v, tuple(map(sub, lcm, mg))))
-    return _combine(f.ring, parts)
+def _pair(f, g, name, cofactors):
+    """u (lcm / lm f) f + v (lcm / lm g) g, (u, v) = cofactors(lc f, lc g).  Of
+    two ``_Packed`` entries, the dividend (ring, work, exps) ``_reduce`` reads:
+    each parent's terms shifted by K(lcm) - K and E(lcm) - E, scaled (mod m
+    over ZZ/m) and gathered by K.  Of two Polynomials, it packs them with one
+    ``_Packed`` (so of one ring) and returns that dividend reduced by no reducer."""
+    if isinstance(f, Polynomial):
+        if f.is_zero or g.is_zero:
+            raise ZeroPolynomial(f"{name} of a zero polynomial")
+        return _reduce(_pair(*_Packed(f.ring, [f, g]), name, cofactors), (), None)[1]
+    (_, _, a, _, _, mf, ring_), (_, _, b, _, _, mg, _) = f, g
+    u, v = cofactors(a, b)
+    ((_, K, E),) = _packed_terms(ring_, [(0, tuple(map(max, mf, mg)))])
+    modulus = ring_.domain.modulus if isinstance(ring_.domain, ModularDomain) else None
+    work, exps = {}, {}
+    for w, (hE, hK, hc, limit, tail, _, _) in ((u, f), (v, g)):
+        sE, sK = E - hE, K - hK
+        if sE >= limit:
+            raise ExponentOverflow("a pair's term leaves the packed exponent fields")
+        for tc, tK, tE in ((hc, hK, hE), *tail):
+            target = tK + sK
+            c = work.pop(target, 0) + w * tc
+            if modulus is not None:
+                c %= modulus
+            if c:
+                work[target] = c
+                exps[target] = tE + sE
+    return ring_, work, exps
 
 
 def s_polynomial_field(f, g):
     """(lcm / lt(f)) * f - (lcm / lt(g)) * g; the leading terms cancel."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("s-polynomial of a zero polynomial")
-    if not f.ring.domain.is_field:
+    divide = f.ring.domain.coeff_divmod
+    if not (f.is_zero or g.is_zero or f.ring.domain.is_field):
         raise DomainError("s_polynomial_field needs a field domain")
-    return _pair_polynomial(monic(f), 1, monic(g), -1)
+    return _pair(f, g, "s-polynomial", lambda a, b: (divide(1, a)[0], -divide(1, b)[0]))
 
 
 def s_pair_z(f, g):
-    """Integer S-combination: scale both sides to lcm of the lead coefficients;
+    """Integer S-combination of two entries or Polynomials (see ``_pair``):
     the field S-polynomial on monic elements, a unit multiple on primitive QQ ones."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("s-pair of a zero polynomial")
-    a, b = leading_coefficient(f), leading_coefficient(g)
-    c = math.lcm(a, b)
-    return _pair_polynomial(f, c // a, g, -(c // b))
+    return _pair(f, g, "s-pair", lambda a, b: (math.lcm(a, b) // a, -math.lcm(a, b) // b))
 
 
 def g_pair_z(f, g):
-    """Bezout combination whose leading term is gcd(lc f, lc g) on the lcm."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("g-pair of a zero polynomial")
-    _, u, v = ext_gcd(leading_coefficient(f), leading_coefficient(g))
-    return _pair_polynomial(f, u, g, v)
+    """Bezout combination of two entries or Polynomials (see ``_pair``) whose
+    leading term is gcd(lc f, lc g) on the lcm."""
+    return _pair(f, g, "g-pair", lambda a, b: ext_gcd(a, b)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -358,30 +314,17 @@ def _normalizer(ring_):
     raise DomainError(f"{dom.name}: only fields and ZZ are supported")
 
 
-def _common_ring(gens, ring_):
-    for g in gens:
-        if not isinstance(g, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(g).__name__}")
-    if ring_ is None:
-        if not gens:
-            raise ValueError("cannot infer the ring from an empty generator list")
-        ring_ = gens[0].ring
-    if any(g.ring != ring_ for g in gens):
-        raise RingMismatch("polynomials live in different rings")
-    return ring_
-
-
 class _Pairs:
     """The pairs of a growing basis that Buchberger's criteria leave, in the
     order ``_complete`` visits them, completing or checking.
 
-    ``add(g)`` appends g to ``elements`` and queues its pairs.  Iterating
-    pops pairs (i, j), i < j, by the order key of their lcm, S-pairs before
-    G-pairs, then by (j, i), the order they were queued in, sees pairs
-    queued meanwhile, and yields the pair polynomial, ``s_pair_z`` or
-    ``g_pair_z`` (looked up by name at each call), of each pair no criterion
-    skips.  Only those are charged to ``stats``, the run's ``RunStats``,
-    which the caller's reductions share.
+    ``add(g)`` appends g, an element's ``_Packed`` entry, to ``elements`` and
+    queues its pairs.  Iterating pops pairs (i, j), i < j, by the order key
+    of their lcm, S-pairs before G-pairs, then by (j, i), the order they were
+    queued in, sees pairs queued meanwhile, and yields the dividend that
+    ``s_pair_z`` or ``g_pair_z`` (looked up by name at each call) builds from
+    the entries of each pair no criterion skips.  Only those are charged to
+    ``stats``, the run's ``RunStats``, which the caller's reductions share.
 
     Write lt_i = c_i m_i, every c_i taken as 1 over a field, and T_ij =
     lcm(c_i, c_j) lcm(m_i, m_j).  The criteria are Gebauer and Moeller's
@@ -462,8 +405,7 @@ class _Pairs:
     def add(self, g):
         j = len(self.elements)
         self.elements.append(g)
-        b, mg = leading_term(g)
-        b = 1 if self.field else b
+        b, mg = 1 if self.field else g[2], g[5]
         # two seed elements make no pair: the seed treated them already
         for i, (a, mf) in enumerate(self.leads if j >= self.seeded else ()):
             if i in self.witness:
@@ -547,7 +489,7 @@ def _complete(gens, ring_, limits, seeded=0, check=False):
             at = bisect.bisect(reducers, packed[1:3], key=itemgetter(1, 2))
             reducers.insert(at, packed)
             polys.insert(at, r)
-            pairs.add(r)
+            pairs.add(packed)
 
     for k, g in enumerate(gens):
         join(g if check or k < seeded or g.is_zero else remainder(_primitive(g) if pseudo else g))

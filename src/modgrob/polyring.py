@@ -8,12 +8,13 @@ term order, with no zero coefficients.  Everything is immutable.
 
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, le, neg
+from operator import add, le, mul, neg
 
-from .errors import DomainError, RingMismatch, ZeroPolynomial
+from .errors import DomainError, ExponentOverflow, RingMismatch, ZeroPolynomial
 from .intarith import is_prime
 
 _MAX_EXPONENT = 2**31
@@ -141,7 +142,7 @@ def monomial_key(order):
     """Sort key for monomials: bigger key means bigger monomial.
 
     Keys are flat int tuples of fixed length per arity, each entry linear
-    in the exponents, so ``groebner._packing`` packs a key into one int.
+    in the exponents, so ``_packing`` packs a key into one int.
     """
     if isinstance(order, Lex):
         return lambda e: e
@@ -171,6 +172,40 @@ def monomial_lcm(a, b):
 def monomial_divides(a, b):
     """True when a divides b (componentwise <=); a and b of one arity."""
     return all(map(le, a, b))
+
+
+_FIELD = 64  # bits per packed digit; total degrees stay below 2^(_FIELD - 1)
+
+
+@lru_cache(maxsize=None)
+def _packing(order, arity):
+    """(weights, fields, guard) packing a monomial e in two ints (Bachmann and
+    Schoenemann, ISSAC 1998).  K(e) = sum(map(mul, e, weights)) packs e's
+    order key, linear in e, in balanced base 2^64 digits, each an exponent,
+    its negative or a sum: K(a b) = K(a) + K(b), and below total degree 2^63
+    K is injective and orders as the term order.  E(e) packs (*e, sum(e)) by
+    ``fields`` in 64-bit fields below 2^63: a divides b iff E(b) - E(a) sets
+    no ``guard`` bit (a field's top bit), as the lowest field with a_i > b_i
+    borrows, holding 2^64 + b_i - a_i >= 2^63.  Exponents enter at most at
+    2^31 but grow in Lex and Block steps (x y^N by x - y^N leaves y^2N): a
+    monomial past the fields, given or about to be made, raises ``ExponentOverflow``."""
+    key = monomial_key(order)
+    weights = tuple(sum(d << _FIELD * k for k, d in enumerate(reversed(
+        key(tuple(int(i == j) for j in range(arity)))))) for i in range(arity))
+    guard = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(arity + 1))
+    return weights, struct.Struct(f"<{arity}Qq"), guard
+
+
+def _packed_terms(ring_, terms):
+    """(c, K, E) of each (c, e) of ``terms`` in ``ring_``; the fields refuse
+    a negative exponent and a total degree of 2^63 or more."""
+    weights, fields, _ = _packing(ring_.order, ring_.arity)
+    pack, from_bytes = fields.pack, int.from_bytes
+    try:
+        return [(c, sum(map(mul, e, weights)), from_bytes(pack(*e, sum(e)), "little"))
+                for c, e in terms]
+    except struct.error:
+        raise ExponentOverflow("a monomial leaves the packed exponent fields") from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +316,43 @@ def _same_ring(f, g):
         raise RingMismatch(f"rings differ: {f.ring} vs {g.ring}")
 
 
+def _common_ring(gens, ring_):
+    for g in gens:
+        if not isinstance(g, Polynomial):
+            raise TypeError(f"expected Polynomial, got {type(g).__name__}")
+    if ring_ is None:
+        if not gens:
+            raise ValueError("cannot infer the ring from an empty generator list")
+        ring_ = gens[0].ring
+    if any(g.ring != ring_ for g in gens):
+        raise RingMismatch("polynomials live in different rings")
+    return ring_
+
+
+class _Packed(list):
+    """Nonzero polynomials of ``ring``, each packed once as a reducer and pair
+    parent: (E, K, lead coefficient, limit, tail (c, K, E) terms, lead monomial,
+    ring), limit the least shift E carrying the top tail degree to 2^63."""
+
+    def __init__(self, ring_, polys=()):
+        self.ring = _common_ring(polys, ring_)
+        if any(g.is_zero for g in polys):
+            raise ZeroPolynomial("zero polynomial in reducer list")
+        super().__init__(map(self.pack, polys))
+
+    def pack(self, g):
+        (c, K, E), *tail = _packed_terms(g.ring, g.terms)
+        top = _FIELD * g.ring.arity
+        room = (1 << _FIELD - 1) - (max((tE for *_, tE in tail), default=0) >> top)
+        return E, K, c, room << top, tuple(tail), g.terms[0][1], g.ring
+
+
 def poly_add(f, g):
-    _same_ring(f, g)
-    one = f.ring.one_monomial()
-    return _combine(f.ring, ((f, 1, one), (g, 1, one)))
+    return _combine(f, 1, g)
 
 
 def poly_sub(f, g):
-    _same_ring(f, g)
-    one = f.ring.one_monomial()
-    return _combine(f.ring, ((f, 1, one), (g, -1, one)))
+    return _combine(f, -1, g)
 
 
 def poly_scale(f, c):
@@ -317,15 +379,13 @@ def _from_sums(ring_, sums):
     return Polynomial(ring_, tuple(terms))
 
 
-def _combine(ring_, parts):
-    """The sum of c * x^shift * f over the (f, c, shift) in ``parts``,
-    gathered in one monomial -> coefficient dict and sorted once."""
-    acc = {}
-    for f, c, shift in parts:
-        for cf, mono in f.terms:
-            mono = tuple(map(add, mono, shift))
-            acc[mono] = acc.get(mono, 0) + c * cf
-    return _from_sums(ring_, acc)
+def _combine(f, c, g):
+    """f + c * g, gathered in one monomial -> coefficient dict and sorted once."""
+    _same_ring(f, g)
+    acc = {mono: cf for cf, mono in f.terms}
+    for cg, mono in g.terms:
+        acc[mono] = acc.get(mono, 0) + c * cg
+    return _from_sums(f.ring, acc)
 
 
 def _term_products(f, g):

@@ -8,6 +8,7 @@ from modgrob.cli import build_arg_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 LINE_CAP = 2_795  # ROADMAP item 7: the line budget of src/modgrob
+LINE_WIDTH = 100  # columns, so that LINE_CAP cannot be met by joining lines
 
 
 def test_all_exports_no_submodules():
@@ -46,3 +47,10 @@ def test_package_stays_inside_its_line_budget():
     lines = sum(len(path.read_text().splitlines())
                 for path in (ROOT / "src" / "modgrob").glob("*.py"))
     assert lines < LINE_CAP, f"src/modgrob has {lines:,} lines, the cap is {LINE_CAP:,}"
+
+
+def test_package_lines_stay_inside_their_width():
+    wide = [f"{path.name}:{number}" for path in sorted((ROOT / "src" / "modgrob").glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > LINE_WIDTH]
+    assert not wide, f"lines wider than {LINE_WIDTH} columns: {', '.join(wide)}"

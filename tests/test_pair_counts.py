@@ -33,7 +33,7 @@ from modgrob import (
     main_lemma_check,
     torsion_exponent,
 )
-from modgrob import arnold, groebner, torsion
+from modgrob import arnold, groebner, polyring, torsion
 from modgrob.groebner import _basis_over_q
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import ring
@@ -259,14 +259,41 @@ def test_reduction_budget_bounds_canonicalization():
         buchberger_z(katsura(3, ZZ), RunStats(max_reductions=KATSURA3_ZZ_STEPS + 11))
 
 
+def test_completion_builds_no_tuple_pair(monkeypatch):
+    """Completion builds each pair from its packed parents as the dividend
+    ``_reduce`` reads: while ``buchberger_z`` completes katsura3 over ZZ,
+    making its 76 pairs, ``polyring._combine`` and ``_from_sums`` never run.
+    When every pair was first built as a tuple ``Polynomial``, each ran 76
+    times.  Both are rebound in every module that holds them."""
+    gens = katsura(3, ZZ)
+    calls = dict.fromkeys(("_combine", "_from_sums"), 0)
+    for name in calls:
+        original = getattr(polyring, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (polyring, groebner):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    stats = RunStats()
+    buchberger_z(gens, stats)
+    assert stats.pairs == KATSURA3_ZZ_PAIRS
+    assert calls == {"_combine": 0, "_from_sums": 0}
+
+
 def test_seeded_completion_packs_each_element_once(monkeypatch):
     """A seeded completion joins its seed unreduced, and ``_canonicalize``
     works on completion's packed reducer list: ``_extend_mod_m`` of the
     strong basis of katsura2 at m = 9 reduces no seed element to join it,
     and packs each of the 11 joined elements once, plus each of the 3
     elements a tail reduction changes.  Reducing each of the 6 seed elements
-    to join it, and packing every kept element again, took 19 packings."""
+    to join it, and packing every kept element again, took 19 packings.
+    ``_Pairs`` is handed each element's packed entry, and the reductions
+    charged to the completion take pair dividends besides Polynomials."""
     basis = buchberger_z(katsura(2, ZZ))
+    seed_entries = list(groebner._Packed(basis.ring, basis.elements))
     reduce, pack, add = groebner._reduce, groebner._Packed.pack, groebner._Pairs.add
     stats = RunStats()
     reduced, tail_reduced, packed, joined = [], [], [], []
@@ -279,16 +306,16 @@ def test_seeded_completion_packs_each_element_once(monkeypatch):
         packed.append(g)
         return pack(self, g)
 
-    def spying_add(self, g):
-        joined.append(g)
-        return add(self, g)
+    def spying_add(self, entry):
+        joined.append(entry)
+        return add(self, entry)
 
     monkeypatch.setattr(groebner, "_reduce", spying_reduce)
     monkeypatch.setattr(groebner._Packed, "pack", spying_pack)
     monkeypatch.setattr(groebner._Pairs, "add", spying_add)
     groebner._extend_mod_m(basis, 9, stats)
-    assert not set(basis.elements) & set(reduced)
-    assert joined[:len(basis)] == list(basis.elements)
+    assert not set(basis.elements) & {f for f in reduced if isinstance(f, Polynomial)}
+    assert joined[:len(basis)] == seed_entries
     assert (len(joined), len(tail_reduced), len(packed)) == (11, 3, 14)
     assert spent(stats) == {"completions": 1, "s_pairs": 12, "g_pairs": 2, "reductions": 88}
 

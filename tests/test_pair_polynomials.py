@@ -1,12 +1,16 @@
 """Differential test of sums, differences and pair polynomials.
 
-``poly_add``, ``poly_sub``, ``s_polynomial_field``, ``s_pair_z`` and
-``g_pair_z`` gather every term in one monomial -> coefficient map and sort
-it once.  Their specifications are the frozen copies in ``reference.py``,
-which merged two sorted term lists and built each multiple with
-``term_mul`` first.  Both must give equal polynomials over ZZ, QQ, ZZ/p and
-composite ZZ/m, in Lex, DegRevLex and Block orders, full cancellation to
-zero included, and raise the same exception with the same message.
+``poly_add`` and ``poly_sub`` gather every term in one monomial ->
+coefficient map and sort it once.  ``s_polynomial_field``, ``s_pair_z`` and
+``g_pair_z`` pack both polynomials with one ``_Packed``, gather the shifted,
+scaled terms in one map keyed by the packed monomial, the dividend that
+completion hands ``_reduce``, and return it reduced by no reducer.  Their
+specifications are the frozen copies in ``reference.py``, which merged two
+sorted term lists and built each multiple with ``term_mul`` first.  Both
+must give equal polynomials over ZZ, QQ, ZZ/p and composite ZZ/m, in Lex,
+DegRevLex and Block orders, full cancellation to zero included, and raise
+the same exception with the same message; for polynomials of two rings,
+both raise ``RingMismatch``.
 
 Completion builds every S-pair with ``s_pair_z``, over a prime field too:
 on monic elements there it is ``s_polynomial_field``.
@@ -17,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from modgrob import QQ, ZZ, Block, DegRevLex, Lex, ModularDomain, Polynomial
+from modgrob import QQ, ZZ, Block, DegRevLex, Lex, ModularDomain, Polynomial, RingMismatch
 from modgrob.groebner import g_pair_z, s_pair_z, s_polynomial_field
 from modgrob.polyring import leading_term, monic, poly_add, poly_sub, ring
 from reference import (
@@ -83,8 +87,8 @@ def test_s_pair_z_is_the_field_s_polynomial_on_monic_elements(case):
     assert new(f, g) == field(f, g)
 
 
-def _poly(domain, order, *terms):
-    return Polynomial.from_terms(ring(("z", "y", "x"), order, domain), terms)
+def _poly(domain, order, *terms, variables=("z", "y", "x")):
+    return Polynomial.from_terms(ring(variables, order, domain), terms)
 
 
 @pytest.mark.parametrize("domain", FIELDS + INTEGERS)
@@ -118,3 +122,21 @@ def test_same_errors_as_reference(new, frozen, domain):
     for f, g in ((zero, three), (three, zero), (zero, zero), (three, three)):
         assert _outcome(new, f, g) == _outcome(frozen, f, g)
     assert isinstance(_outcome(new, zero, three), tuple)
+
+
+@pytest.mark.parametrize("new, frozen, domain, other", [
+    (s_pair_z, merge_s_pair_z, ZZ, ModularDomain(7)),
+    (g_pair_z, merge_g_pair_z, ZZ, ModularDomain(7)),
+    (s_polynomial_field, merge_s_polynomial_field, QQ, ModularDomain(7)),
+], ids=["s_pair_z", "g_pair_z", "s_polynomial_field"])
+@pytest.mark.parametrize("other_order", [False, True], ids=["other-domain", "other-order"])
+def test_two_rings_raise_ring_mismatch(new, frozen, domain, other, other_order):
+    """x^2+y and xy+3 of rings that differ in the domain or in the order:
+    the builders refuse them as their frozen copies do, rather than answer
+    in the first argument's ring (y^2-3x over ZZ, once)."""
+    f = _poly(domain, Lex(), (1, (2, 0)), (1, (0, 1)), variables=("x", "y"))
+    second = (domain, DegRevLex()) if other_order else (other, Lex())
+    g = _poly(*second, (1, (1, 1)), (3, (0, 0)), variables=("x", "y"))
+    for fn in (new, frozen):
+        with pytest.raises(RingMismatch):
+            fn(f, g)

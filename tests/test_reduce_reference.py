@@ -7,7 +7,8 @@ ints.  It is the specification: ``normal_form`` must return the same
 remainders, coefficient types included, over ZZ, QQ, F_p and ZZ/m, in Lex,
 DegRevLex and the Block order that the saturation in ``torsion``
 eliminates with.  Pseudo-division over ZZ is checked against the same
-reduction over QQ, and the packed fields' exponent bound on both sides.
+reduction over QQ, and the packed fields' exponent bound on both sides,
+in pair polynomials too.
 """
 
 import pytest
@@ -25,7 +26,10 @@ from modgrob import (
     ModularDomain,
     Polynomial,
     RunStats,
+    buchberger_z,
+    is_groebner_basis,
     normal_form,
+    s_pair_z,
 )
 from modgrob.groebner import _Packed, _reduce
 from modgrob.polyring import _MAX_EXPONENT, change_domain, poly_add, poly_mul, poly_scale, ring
@@ -116,3 +120,19 @@ def test_a_step_past_the_packed_fields_raises():
     g = Polynomial(ring_, ((1, (1, 0)), (-1, (0, 2**62))))
     with pytest.raises(ExponentOverflow):
         normal_form(f, [g])
+
+
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()])
+def test_pairs_past_the_packed_fields_raise(order):
+    """x^(2^62) y + 1 and x y^(2^62) + 3 have the lcm x^(2^62) y^(2^62), of
+    total degree 2^63: building their S-pair raises, in completion, in the
+    completeness check and in ``s_pair_z``.  When pairs were tuple
+    polynomials, DegRevLex completion never packed that cancelled lead and
+    returned a basis; ``from_terms`` and the parser cap exponents at 2^31."""
+    ring_ = ring(("x", "y"), order, ZZ)
+    n = 2**62
+    f = Polynomial(ring_, ((1, (n, 1)), (1, (0, 0))))
+    g = Polynomial(ring_, ((1, (1, n)), (3, (0, 0))))
+    for build in (buchberger_z, is_groebner_basis, lambda pair: s_pair_z(*pair)):
+        with pytest.raises(ExponentOverflow):
+            build([f, g])
