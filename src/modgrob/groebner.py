@@ -17,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, le
+from operator import itemgetter
 
 from .errors import (
     DomainError,
@@ -30,26 +30,24 @@ from .errors import (
 from .intarith import ext_gcd
 from .polyring import (
     QQ,
-    ZZ,
     IntegerDomain,
     ModularDomain,
     Polynomial,
     RationalDomain,
     RingDescriptor,
     _common_ring,
+    _dividend,
+    _entry,
     _Packed,
+    _packed_for,
     _packed_terms,
     _packing,
+    _primitive,
+    _unpacked,
     change_domain,
-    leading_coefficient,
-    monic,
-    monomial_divides,
-    monomial_key,
-    monomial_lcm,
-    monomial_mul,
-    poly_scale,
     with_domain,
 )
+from .polyring import monomial_divides, monomial_mul  # noqa: F401  perfbench/spans.py wraps them
 
 S_PAIR = 0
 G_PAIR = 1
@@ -85,9 +83,12 @@ class RunStats:
                 "raise --max-pairs if this is intended")
 
     def reduction(self):
-        """A step reducing a generator or a pair, completing or checking."""
+        """A step reducing a generator or a pair, completing or checking; ``steps`` too."""
         self.reductions += 1
-        self.step()
+        if self.steps < self.max_reductions:
+            self.steps += 1
+        else:
+            self.step()
 
     def step(self):
         """A reduction step, in completion or outside it."""
@@ -114,19 +115,12 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 # reduction
 
-def _packed_for(f, basis):
-    """``basis`` as f's reducers: a ``_Packed`` of f's ring as it is, else packed now."""
-    ring_ = _common_ring([f], None)
-    same = isinstance(basis, _Packed) and basis.ring == ring_
-    return basis if same else _Packed(ring_, list(basis))
-
-
 def _reduce(f, reducers, step, pseudo=False):
     """Shared division loop; deterministic: first eligible reducer wins.
 
-    ``f`` is a Polynomial or a pair's dividend, ``reducers`` a ``_Packed``
-    list or a slice of one.  Returns (multiplier, remainder): multiplier * f
-    - remainder is a combination of the reducers with polynomial cofactors
+    ``f`` is a Polynomial or a ``_dividend``, ``reducers`` ``_Packed`` entries.
+    Returns (multiplier, remainder), (c, K, E) terms descending: multiplier *
+    f - remainder is a combination of the reducers with polynomial cofactors
     over f's domain, an integer combination over ZZ.  A term is moved to the
     remainder only once no reducer changes it, which over ZZ / ZZ/m means its
     coefficient is the canonical residue for every applicable lead coefficient.
@@ -142,16 +136,15 @@ def _reduce(f, reducers, step, pseudo=False):
     by K (see ``_packing``); a lazy max-heap holds -K.  A step with shift s
     moves a tail term to tK + sK, recording tE + sE for each new monomial, the
     only ones popped.  New coefficients are reduced only over ZZ/m (int and
-    Fraction arithmetic is canonical), and only remainder terms are unpacked.
+    Fraction arithmetic is canonical), and no monomial is unpacked.
     """
     if isinstance(f, Polynomial):
-        terms = _packed_terms(f.ring, f.terms)
-        f = f.ring, {K: c for c, K, _ in terms}, {K: E for _, K, E in terms}
+        f = _dividend(f.ring, _packed_terms(f.ring, f.terms))
     ring_, work, exps = f
     dom = ring_.domain
     coeff_divmod = dom.coeff_divmod
     modulus = dom.modulus if isinstance(dom, ModularDomain) else None
-    _, fields, guard = _packing(ring_.order, ring_.arity)
+    guard = _packing(ring_.order, ring_.arity)[2]
     heap = [-K for K in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -163,7 +156,7 @@ def _reduce(f, reducers, step, pseudo=False):
         if c is None:
             continue
         E = exps[K]
-        for gE, gK, gc, limit, gtail, _, _ in reducers:
+        for gE, gK, gc, limit, gtail, _ in reducers:
             sE = E - gE
             if sE & guard:
                 continue
@@ -174,7 +167,7 @@ def _reduce(f, reducers, step, pseudo=False):
                     multiplier *= scale
                     c *= scale
                     work = {m: v * scale for m, v in work.items()}
-                    rem = [(v * scale, m) for v, m in rem]
+                    rem = [(v * scale, vK, vE) for v, vK, vE in rem]
             else:
                 q, _ = coeff_divmod(c, gc)
                 if q == 0:
@@ -206,7 +199,7 @@ def _reduce(f, reducers, step, pseudo=False):
                         work[target] = v
             break
         else:
-            rem.append((c, E))
+            rem.append((c, K, E))
             del work[K]
             continue
         if modulus is not None:
@@ -217,15 +210,14 @@ def _reduce(f, reducers, step, pseudo=False):
             # partially reduced lead coefficient: revisit the same monomial
             work[K] = c
             heappush(heap, -K)
-    n, width = ring_.arity, fields.size
-    return multiplier, Polynomial(ring_, tuple(
-        (c, fields.unpack(E.to_bytes(width, "little"))[:n]) for c, E in rem))
+    return multiplier, rem
 
 
 def normal_form(f, basis, limits=None):
     """Fully reduce f against a list of polynomials, a GroebnerBasis or a ``_Packed``,
     charging each step to ``limits`` or a fresh ``RunStats`` as a step outside completion."""
-    return _reduce(f, _packed_for(f, basis), (limits or RunStats()).step)[1]
+    reducers = _packed_for(f, basis)
+    return _unpacked(f.ring, _reduce(f, reducers, (limits or RunStats()).step)[1])
 
 
 def ideal_member(f, basis):
@@ -236,22 +228,22 @@ def ideal_member(f, basis):
 # ---------------------------------------------------------------------------
 # pair polynomials
 
-def _pair(f, g, name, cofactors):
+def _pair(f, g, name, cofactors, lcm=None):
     """u (lcm / lm f) f + v (lcm / lm g) g, (u, v) = cofactors(lc f, lc g).  Of
-    two ``_Packed`` entries, the dividend (ring, work, exps) ``_reduce`` reads:
-    each parent's terms shifted by K(lcm) - K and E(lcm) - E, scaled (mod m
-    over ZZ/m) and gathered by K.  Of two Polynomials, it packs them with one
-    ``_Packed`` (so of one ring) and returns that dividend reduced by no reducer."""
+    two ``_Packed`` entries and their lcm's (K, E), the ``_dividend`` of their
+    terms shifted by K(lcm) - K and E(lcm) - E, scaled (mod m over ZZ/m) and
+    gathered by K.  Of two Polynomials of one ring: that sum, packed and sorted."""
     if isinstance(f, Polynomial):
         if f.is_zero or g.is_zero:
             raise ZeroPolynomial(f"{name} of a zero polynomial")
-        return _reduce(_pair(*_Packed(f.ring, [f, g]), name, cofactors), (), None)[1]
-    (_, _, a, _, _, mf, ring_), (_, _, b, _, _, mg, _) = f, g
+        lcm = _packed_terms(f.ring, [(0, tuple(map(max, f.terms[0][1], g.terms[0][1])))])
+        dividend = _pair(*_Packed(f.ring, [f, g]), name, cofactors, lcm[0][1:])
+        return _unpacked(f.ring, _reduce(dividend, (), None)[1])
+    (_, _, a, _, _, ring_), (_, _, b, _, _, _), (K, E) = f, g, lcm
     u, v = cofactors(a, b)
-    ((_, K, E),) = _packed_terms(ring_, [(0, tuple(map(max, mf, mg)))])
     modulus = ring_.domain.modulus if isinstance(ring_.domain, ModularDomain) else None
     work, exps = {}, {}
-    for w, (hE, hK, hc, limit, tail, _, _) in ((u, f), (v, g)):
+    for w, (hE, hK, hc, limit, tail, _) in ((u, f), (v, g)):
         sE, sK = E - hE, K - hK
         if sE >= limit:
             raise ExponentOverflow("a pair's term leaves the packed exponent fields")
@@ -274,43 +266,34 @@ def s_polynomial_field(f, g):
     return _pair(f, g, "s-polynomial", lambda a, b: (divide(1, a)[0], -divide(1, b)[0]))
 
 
-def s_pair_z(f, g):
+def s_pair_z(f, g, lcm=None):
     """Integer S-combination of two entries or Polynomials (see ``_pair``):
     the field S-polynomial on monic elements, a unit multiple on primitive QQ ones."""
-    return _pair(f, g, "s-pair", lambda a, b: (math.lcm(a, b) // a, -math.lcm(a, b) // b))
+    return _pair(f, g, "s-pair", lambda a, b: (math.lcm(a, b) // a, -math.lcm(a, b) // b), lcm)
 
 
-def g_pair_z(f, g):
+def g_pair_z(f, g, lcm=None):
     """Bezout combination of two entries or Polynomials (see ``_pair``) whose
     leading term is gcd(lc f, lc g) on the lcm."""
-    return _pair(f, g, "g-pair", lambda a, b: ext_gcd(a, b)[1:])
+    return _pair(f, g, "g-pair", lambda a, b: ext_gcd(a, b)[1:], lcm)
 
 
 # ---------------------------------------------------------------------------
 # completion
 
-def _sign_normalized(f):
-    return poly_scale(f, -1) if leading_coefficient(f) < 0 else f
-
-
-def _primitive(f):
-    """Nonzero f as a polynomial over ZZ with denominators cleared, content
-    removed and a positive lead coefficient: the form completion keeps over QQ."""
-    den = math.lcm(*(c.denominator for c, _ in f.terms))
-    nums = [c.numerator * (den // c.denominator) for c, _ in f.terms]
-    g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
-    return Polynomial(with_domain(f.ring, ZZ),
-                      tuple((n // g, m) for n, (_, m) in zip(nums, f.terms)))
-
-
 def _normalizer(ring_):
-    """The form completion keeps elements in: monic over a field (over QQ,
-    ``_primitive`` until the end), a positive lead coefficient over ZZ."""
+    """The form completion keeps elements in, on (c, K, E) terms: monic over
+    ZZ/p, ``_primitive`` over QQ until the end, a positive lead over ZZ."""
     dom = ring_.domain
+    if isinstance(dom, RationalDomain):
+        return _primitive
     if dom.is_field:
+        def monic(terms, p=dom.modulus):
+            u = pow(terms[0][0], -1, p)
+            return [(c * u % p, K, E) for c, K, E in terms]
         return monic
     if isinstance(dom, IntegerDomain):
-        return _sign_normalized
+        return lambda terms: terms if terms[0][0] > 0 else [(-c, K, E) for c, K, E in terms]
     raise DomainError(f"{dom.name}: only fields and ZZ are supported")
 
 
@@ -319,12 +302,12 @@ class _Pairs:
     order ``_complete`` visits them, completing or checking.
 
     ``add(g)`` appends g, an element's ``_Packed`` entry, to ``elements`` and
-    queues its pairs.  Iterating pops pairs (i, j), i < j, by the order key
-    of their lcm, S-pairs before G-pairs, then by (j, i), the order they were
-    queued in, sees pairs queued meanwhile, and yields the dividend that
-    ``s_pair_z`` or ``g_pair_z`` (looked up by name at each call) builds from
-    the entries of each pair no criterion skips.  Only those are charged to
-    ``stats``, the run's ``RunStats``, which the caller's reductions share.
+    queues its pairs, each with its lcm packed (K, E), or ``ExponentOverflow``.
+    Iterating pops pairs (i, j), i < j, by the lcm's K, S-pairs before
+    G-pairs, then by (j, i), the order they were queued in, sees pairs queued
+    meanwhile, and yields the dividend that ``s_pair_z`` or ``g_pair_z``
+    (looked up by name at each call) builds from the entries and lcm of each
+    pair no criterion skips, charged to ``stats``, the run's ``RunStats``.
 
     Write lt_i = c_i m_i, every c_i taken as 1 over a field, and T_ij =
     lcm(c_i, c_j) lcm(m_i, m_j).  The criteria are Gebauer and Moeller's
@@ -392,12 +375,12 @@ class _Pairs:
 
     def __init__(self, ring_, limits, chain, seeded=0):
         self.field = ring_.domain.is_field
-        self.key = monomial_key(ring_.order)
+        _, self.fields, self.guard = _packing(ring_.order, ring_.arity)
         self.stats = limits or RunStats()
         self.chain = chain
         self.seeded = seeded
         self.elements = []
-        self.leads = []  # (lead coefficient, lead monomial) of each element
+        self.leads = []  # (lead coefficient, E, lead monomial) of each element
         self.queue = []
         self.pending = set()  # queued S-pairs (i, j), i < j
         self.witness = {}  # redundant element -> the element that made it so
@@ -405,21 +388,22 @@ class _Pairs:
     def add(self, g):
         j = len(self.elements)
         self.elements.append(g)
-        b, mg = 1 if self.field else g[2], g[5]
-        # two seed elements make no pair: the seed treated them already
-        for i, (a, mf) in enumerate(self.leads if j >= self.seeded else ()):
-            if i in self.witness:
-                continue
-            lcm = monomial_lcm(mf, mg)
-            lcm_key = self.key(lcm)
-            if not (lcm == monomial_mul(mf, mg) and math.gcd(a, b) == 1):
-                heapq.heappush(self.queue, (lcm_key, S_PAIR, j, i, lcm))
+        gE, b, leads, fields = g[0], 1 if self.field else g[2], self.leads, self.fields
+        mg = fields.unpack(gE.to_bytes(fields.size, "little"))[:-1]  # drop the total degree
+        # two seed elements make no pair: the seed treated them already.
+        # Each lcm is packed with i in the place of its coefficient.
+        for i, K, E in _packed_terms(g[5], [
+                (i, tuple(map(max, mf, mg))) for i, (_, _, mf)
+                in enumerate(leads if j >= self.seeded else ()) if i not in self.witness]):
+            a, fE, _ = leads[i]
+            if not (E == fE + gE and math.gcd(a, b) == 1):
+                heapq.heappush(self.queue, (K, S_PAIR, j, i, E))
                 self.pending.add((i, j))
             if b % a and a % b:
-                heapq.heappush(self.queue, (lcm_key, G_PAIR, j, i, lcm))
-            if self.chain and a % b == 0 and monomial_divides(mg, mf):
+                heapq.heappush(self.queue, (K, G_PAIR, j, i, E))
+            if self.chain and a % b == 0 and not (fE - gE) & self.guard:
                 self.witness[i] = j
-        self.leads.append((b, mg))
+        leads.append((b, gE, mg))
 
     def _pending(self, i, j):
         """Whether S-pair (i, j), i < j, is queued, or unmade and waits on a queued one."""
@@ -431,30 +415,32 @@ class _Pairs:
         return (i, j) in pending
 
     def __iter__(self):
-        leads, pending = self.leads, self.pending
+        leads, pending, guard = self.leads, self.pending, self.guard
         while self.queue:
-            _, kind, j, i, lcm = heapq.heappop(self.queue)
+            K, kind, j, i, E = heapq.heappop(self.queue)
             if kind == S_PAIR:
                 c = math.lcm(leads[i][0], leads[j][0])
                 skip = self.chain and any(
-                    c % ck == 0 and all(map(le, mk, lcm)) and k != i and k != j
+                    c % ck == 0 and not (E - Ek) & guard and k != i and k != j
                     and not self._pending(min(i, k), max(i, k))
                     and not self._pending(min(j, k), max(j, k))
-                    for k, (ck, mk) in enumerate(leads))
+                    for k, (ck, Ek, _) in enumerate(leads))
                 pending.discard((i, j))
                 if skip:
                     continue
             else:
                 c = math.gcd(leads[i][0], leads[j][0])
-                if any(c % ck == 0 and all(map(le, mk, lcm)) for ck, mk in leads):
+                if any(c % ck == 0 and not (E - Ek) & guard for ck, Ek, _ in leads):
                     continue
             self.stats.pair(kind)
             build = s_pair_z if kind == S_PAIR else g_pair_z
-            yield build(self.elements[i], self.elements[j])
+            yield build(self.elements[i], self.elements[j], (K, E))
 
 
 def _complete(gens, ring_, limits, seeded=0, check=False):
     """Close the generators under the pairs ``_Pairs`` yields, then canonicalize.
+    Elements stay packed: remainders join as entries of normalized (c, K, E)
+    terms, and only ``_canonicalize`` unpacks, the basis it returns.
 
     The first ``seeded`` generators must be a reduced Groebner basis
     (strong over ZZ), which only callers that built it pass.  Each is its
@@ -472,42 +458,39 @@ def _complete(gens, ring_, limits, seeded=0, check=False):
     are those of the ``Fraction`` path.
     """
     pseudo = isinstance(ring_.domain, RationalDomain)
-    normalize = _primitive if pseudo else _normalizer(ring_)
+    normalize = _normalizer(ring_)
     pairs = _Pairs(ring_, limits, chain=check or not pseudo, seeded=seeded)
     pairs.stats.completions += not check
-    # elements and packed forms, index for index, ascending by lead term: smaller reducers first
-    polys, reducers = [], _Packed(ring_)
+    reducers = []  # the elements' entries, ascending by lead term: smaller reducers first
 
     def remainder(f):
         return _reduce(f, reducers, pairs.stats.reduction, pseudo)[1]
 
-    def join(r):
-        """r, unless zero, joins the basis, normalized, along with its pairs."""
-        if not r.is_zero:
-            r = normalize(r)
-            packed = reducers.pack(r)
-            at = bisect.bisect(reducers, packed[1:3], key=itemgetter(1, 2))
-            reducers.insert(at, packed)
-            polys.insert(at, r)
-            pairs.add(packed)
+    def join(terms):
+        if terms:
+            entry = _entry(ring_, normalize(terms))
+            reducers.insert(bisect.bisect(reducers, entry[1:3], key=itemgetter(1, 2)), entry)
+            pairs.add(entry)
 
     for k, g in enumerate(gens):
-        join(g if check or k < seeded or g.is_zero else remainder(_primitive(g) if pseudo else g))
+        join(_packed_terms(ring_, g.terms) if check or k < seeded or g.is_zero else remainder(
+            Polynomial(ring_, tuple(_primitive(g.terms))) if pseudo else g))
     for pair in pairs:
         r = remainder(pair)
-        if check and not r.is_zero:
+        if check and r:
             return False
         join(r)
-    return True if check else _canonicalize(polys, reducers, ring_, pairs.stats)
+    return True if check else _canonicalize(reducers, ring_, pairs.stats)
 
 
-def _canonicalize(polys, packed, ring_, stats):
+def _canonicalize(packed, ring_, stats):
     """Minimize and (strongly) tail-reduce a complete basis in one pass.
 
-    ``polys``, complete (strong over ZZ) and normalized as completion keeps
-    it (over QQ ``_primitive``), and ``packed``, the same packed, are
+    ``packed``, the ``_Packed`` entries of a complete basis (strong over ZZ)
+    normalized as completion keeps it (over QQ ``_primitive``), is
     completion's reducer list, ascending by lead term (K, c): the order
-    here.  Only an element a tail reduction changes is packed again.
+    here.  Only an element a tail reduction changes is packed again, and
+    only the elements kept are unpacked, once each.
 
     For kept g, h with leads c*m, d*m' and m' | m, some kept lead strongly
     divides the lead gcd(c, d)*m of a combination of g and h; by minimality
@@ -529,23 +512,20 @@ def _canonicalize(polys, packed, ring_, stats):
     field = ring_.domain.is_field
     pseudo = isinstance(ring_.domain, RationalDomain)
     guard, coeff_divmod = _packing(ring_.order, ring_.arity)[2], ring_.domain.coeff_divmod
-    kept, reducers = [], []
-    for g, entry in zip(polys, packed):  # kept unless an earlier kept lead strongly divides
+    kept = []
+    for entry in packed:  # kept unless an earlier kept lead strongly divides
         if not any(not (entry[0] - hE) & guard and (field or entry[2] % hc == 0)
-                   for hE, _, hc, *_ in reducers):
-            kept.append(g)
-            reducers.append(entry)
-    for i in range(len(kept)):
-        others = reducers[:i] + reducers[i + 1:]
+                   for hE, _, hc, *_ in kept):
+            kept.append(entry)
+    for i, (E, K, c, _, tail, ring) in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
         if any(not (tE - gE) & guard and (field or coeff_divmod(tc, gc)[0])
-               for tc, _, tE in reducers[i][4] for gE, _, gc, *_ in others):
-            r = _reduce(kept[i], others, stats.step, pseudo)[1]
-            kept[i] = _primitive(r) if pseudo else r
-            reducers[i] = packed.pack(kept[i])  # later elements reduce by its new tail
-    if pseudo:
-        kept = [Polynomial(ring_, tuple((Fraction(c, g.terms[0][0]), m) for c, m in g.terms))
-                for g in kept]
-    return GroebnerBasis(ring_, tuple(reversed(kept)), reduced=True)
+               for tc, _, tE in tail for gE, _, gc, *_ in others):
+            r = _reduce(_dividend(ring, [(c, K, E), *tail]), others, stats.step, pseudo)[1]
+            kept[i] = _entry(ring, _primitive(r) if pseudo else r)  # later ones reduce by it
+    return GroebnerBasis(ring_, tuple(_unpacked(ring_, [
+        (Fraction(t, c) if pseudo else t, tK, tE) for t, tK, tE in ((c, K, E), *tail)])
+        for E, K, c, _, tail, _ in reversed(kept)), reduced=True)
 
 
 def buchberger_field(gens, limits=None, *, ring=None):
@@ -607,9 +587,9 @@ def _basis_over_q(basis, limits):
     """The reduced basis of QQ J from the strong basis of J, a Groebner basis
     of QQ J: its primitive forms, ascending by lead monomial (distinct in a
     reduced strong basis, so no tie), canonicalized as completion's are."""
-    polys = [_primitive(g) for g in reversed(basis.elements)]
-    return _canonicalize(polys, _Packed(basis.ring, polys), with_domain(basis.ring, QQ),
-                         limits or RunStats())
+    packed = [_entry(basis.ring, _primitive(_packed_terms(basis.ring, g.terms)))
+              for g in reversed(basis.elements)]
+    return _canonicalize(packed, with_domain(basis.ring, QQ), limits or RunStats())
 
 
 def _image_mod(base, m):

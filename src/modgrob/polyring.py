@@ -208,6 +208,21 @@ def _packed_terms(ring_, terms):
         raise ExponentOverflow("a monomial leaves the packed exponent fields") from None
 
 
+def _unpacked(ring_, terms):
+    """The Polynomial of (c, K, E) terms of ``ring_``, descending: ``_packed_terms`` undone."""
+    fields = _packing(ring_.order, ring_.arity)[1]
+    return Polynomial(ring_, tuple((c, fields.unpack(E.to_bytes(fields.size, "little"))[:-1])
+                                   for c, _, E in terms))
+
+
+def _entry(ring_, terms):
+    """The ``_Packed`` entry of nonzero (c, K, E) terms of ``ring_``, descending."""
+    (c, K, E), *tail = terms
+    top = _FIELD * ring_.arity
+    room = (1 << _FIELD - 1) - (max((tE for *_, tE in tail), default=0) >> top)
+    return E, K, c, room << top, tuple(tail), ring_
+
+
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
@@ -306,9 +321,7 @@ class Polynomial:
 
 
 def _coerce(ring_, value):
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.constant(ring_, value)
+    return value if isinstance(value, Polynomial) else Polynomial.constant(ring_, value)
 
 
 def _same_ring(f, g):
@@ -331,20 +344,35 @@ def _common_ring(gens, ring_):
 
 class _Packed(list):
     """Nonzero polynomials of ``ring``, each packed once as a reducer and pair
-    parent: (E, K, lead coefficient, limit, tail (c, K, E) terms, lead monomial,
-    ring), limit the least shift E carrying the top tail degree to 2^63."""
+    parent: (E, K, lead coefficient, limit, tail (c, K, E) terms, ring), limit
+    the least shift E carrying the top tail degree to 2^63."""
 
     def __init__(self, ring_, polys=()):
         self.ring = _common_ring(polys, ring_)
         if any(g.is_zero for g in polys):
             raise ZeroPolynomial("zero polynomial in reducer list")
-        super().__init__(map(self.pack, polys))
+        super().__init__(_entry(g.ring, _packed_terms(g.ring, g.terms)) for g in polys)
 
-    def pack(self, g):
-        (c, K, E), *tail = _packed_terms(g.ring, g.terms)
-        top = _FIELD * g.ring.arity
-        room = (1 << _FIELD - 1) - (max((tE for *_, tE in tail), default=0) >> top)
-        return E, K, c, room << top, tuple(tail), g.terms[0][1], g.ring
+
+def _packed_for(f, basis):
+    """``basis`` as f's reducers: a ``_Packed`` of f's ring as it is, else packed now."""
+    ring_ = _common_ring([f], None)
+    same = isinstance(basis, _Packed) and basis.ring == ring_
+    return basis if same else _Packed(ring_, list(basis))
+
+
+def _dividend(ring_, terms):
+    """The working polynomial ``_reduce`` reads, of (c, K, E) terms of ``ring_``."""
+    return ring_, {K: c for c, K, _ in terms}, {K: E for _, K, E in terms}
+
+
+def _primitive(terms):
+    """Nonzero (c, ...) terms over ZZ with denominators cleared, content removed
+    and a positive lead coefficient: the form completion keeps over QQ."""
+    den = math.lcm(*(c.denominator for c, *_ in terms))
+    nums = [c.numerator * (den // c.denominator) for c, *_ in terms]
+    g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
+    return [(n // g, *rest) for n, (_, *rest) in zip(nums, terms)]
 
 
 def poly_add(f, g):
@@ -357,15 +385,8 @@ def poly_sub(f, g):
 
 def poly_scale(f, c):
     dom = f.ring.domain
-    c = dom.normalize(c)
-    if c == 0:
-        return Polynomial.zero(f.ring)
-    out = []
-    for cf, mono in f.terms:
-        v = dom.normalize(cf * c)
-        if v != 0:
-            out.append((v, mono))
-    return Polynomial(f.ring, tuple(out))
+    c = dom.normalize(c)  # refuses what the domain does not hold
+    return change_domain(Polynomial(f.ring, tuple((cf * c, m) for cf, m in f.terms)), dom)
 
 
 def _from_sums(ring_, sums):
@@ -445,18 +466,17 @@ def monic(f):
 # ring and domain changes
 
 def with_domain(ring_, domain):
-    return RingDescriptor(ring_.variables, ring_.order, domain)
+    return ring_ if ring_.domain is domain else RingDescriptor(ring_.variables, ring_.order, domain)
 
 
 def change_domain(f, domain):
     """Map coefficients into another domain (ZZ->QQ, ZZ->ZZ/m, exact QQ->ZZ...)."""
-    new_ring = with_domain(f.ring, domain)
     out = []
     for c, mono in f.terms:
         v = domain.normalize(c)
         if v != 0:
             out.append((v, mono))
-    return Polynomial(new_ring, tuple(out))
+    return Polynomial(with_domain(f.ring, domain), tuple(out))
 
 
 def fresh_variable_name(existing, base="h"):

@@ -68,7 +68,7 @@ def _contract(basis_z, q_basis, limits=None):
     s = math.lcm(*(leading_coefficient(g) for g in basis))
     if s == 1:
         return basis
-    gens = basis + [groebner._primitive(q) for q in q_basis]
+    gens = basis + [Polynomial(ring_, tuple(groebner._primitive(q.terms))) for q in q_basis]
     basis = list(groebner._complete(gens, ring_, limits, seeded=len(basis)).elements)
     ext_ring = RingDescriptor((fresh_variable_name(ring_.variables, "Y"),) + ring_.variables,
                               Block((0,), Lex(), ring_.order), ring_.domain)
@@ -103,10 +103,10 @@ def minimal_multiplier(g, j_basis_z, limits=None):
         raise DomainError("minimal multipliers work over ZZ")
     step = (limits or RunStats()).step
     k, remainder = _reduce(g, reducers, step, pseudo=True)
-    if not remainder.is_zero:
+    if remainder:
         raise NonMember(f"{g} is not in the rational span of the basis")
     for p, _ in factorize(k, limits):
-        while k % p == 0 and _reduce(poly_scale(g, k // p), reducers, step)[1].is_zero:
+        while k % p == 0 and not _reduce(poly_scale(g, k // p), reducers, step)[1]:
             k //= p
     return k
 

@@ -18,14 +18,19 @@ are renamed by what they specify:
   (``test_pair_criteria``);
 - ``fixed_point_canonicalize``: ``_canonicalize`` when it repeated
   minimization and tail reduction until a pass changed nothing
-  (``test_canonicalize``), taking ``_canonicalize``'s later signature;
+  (``test_canonicalize``), taking ``_canonicalize``'s later signature and
+  unpacking what ``_reduce`` later returned packed;
 - ``canonicalize_list``, not a frozen copy: ``_canonicalize`` of a list
   in any order, ordered and packed as completion hands its reducers over;
+- ``dividend_polynomial``, not a frozen copy: the Polynomial of what
+  ``_reduce`` is handed, for tests that watch it;
 - ``_ReducerView``: the sorted reducer list of those completion loops;
 - ``_domain_rules``, ``_poly_sort_key`` and ``_strongly_divides``, the
   helpers of that time for every frozen completion, canonicalization and
   check here: each domain's normaliser and pair functions, a sort key over
-  every term, and whether one lead term strongly divides another;
+  every term, and whether one lead term strongly divides another, with
+  ``_primitive`` and ``_sign_normalized``, the normalisers of QQ and ZZ
+  when completion normalized ``Polynomial``s;
 - ``reference_is_groebner_basis``: ``is_groebner_basis`` before it
   skipped pairs, reducing every S-pair and G-pair (``test_groebner_check``);
 - ``reference_contract``: ``torsion._contract`` when it saturated at s
@@ -57,6 +62,7 @@ from fractions import Fraction
 from operator import add, le, neg, sub
 
 from modgrob import (
+    ZZ,
     Block,
     DomainError,
     Lex,
@@ -76,9 +82,8 @@ from modgrob.groebner import (
     GroebnerBasis,
     _canonicalize,
     _Packed,
-    _primitive,
     _reduce,
-    _sign_normalized,
+    _unpacked,
     g_pair_z,
     s_pair_z,
     s_polynomial_field,
@@ -110,6 +115,7 @@ from modgrob.polyring import (
     monomial_mul,
     monic,
     poly_scale,
+    with_domain,
 )
 
 
@@ -131,6 +137,20 @@ def _domain_rules(ring_, pseudo=False):
     if isinstance(dom, IntegerDomain):
         return _sign_normalized, {S_PAIR: s_pair_z, G_PAIR: g_pair_z}
     raise DomainError(f"{dom.name}: only fields and ZZ are supported")
+
+
+def _primitive(f):
+    """Nonzero f as a polynomial over ZZ with denominators cleared, content
+    removed and a positive lead coefficient: the form completion keeps over QQ."""
+    den = math.lcm(*(c.denominator for c, _ in f.terms))
+    nums = [c.numerator * (den // c.denominator) for c, _ in f.terms]
+    g = math.gcd(*nums) if nums[0] > 0 else -math.gcd(*nums)
+    return Polynomial(with_domain(f.ring, ZZ),
+                      tuple((n // g, m) for n, (_, m) in zip(nums, f.terms)))
+
+
+def _sign_normalized(f):
+    return poly_scale(f, -1) if leading_coefficient(f) < 0 else f
 
 
 def _poly_sort_key(key):
@@ -465,8 +485,16 @@ def canonicalize_list(G, ring_, stats):
         polys = [normalize(g) for g in G if not g.is_zero]
     key = monomial_key(ring_.order)
     polys.sort(key=lambda f: (key(leading_monomial(f)), leading_coefficient(f)))
-    packed = _Packed(polys[0].ring if polys else ring_, polys)
-    return _canonicalize(polys, packed, ring_, stats)
+    return _canonicalize(_Packed(polys[0].ring if polys else ring_, polys), ring_, stats)
+
+
+def dividend_polynomial(f):
+    """The Polynomial of f, a Polynomial or a dividend (ring, work, exps) of
+    ``_reduce``: its terms by K descending, unpacked."""
+    if isinstance(f, Polynomial):
+        return f
+    ring_, work, exps = f
+    return _unpacked(ring_, [(work[K], K, exps[K]) for K in sorted(work, reverse=True)])
 
 
 def criteria_free_complete(gens, ring_, limits, seeded=0):
@@ -487,7 +515,7 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
     def add_reduced(f):
         """Reduce f; a nonzero remainder joins G along with its pairs."""
         nonlocal counter
-        _, r = _reduce(f, _Packed(ring_, view.polys), budget.reduction)
+        r = _unpacked(ring_, _reduce(f, _Packed(ring_, view.polys), budget.reduction)[1])
         if r.is_zero:
             return
         new_index = len(G)
@@ -518,7 +546,7 @@ def criteria_free_complete(gens, ring_, limits, seeded=0):
     return canonicalize_list(G, ring_, budget)
 
 
-def fixed_point_canonicalize(polys, packed, ring_, stats):
+def fixed_point_canonicalize(packed, ring_, stats):
     """Minimize and (strongly) tail-reduce a complete basis to a fixed point.
 
     Over a field the first pass already gives the reduced basis and the
@@ -527,9 +555,11 @@ def fixed_point_canonicalize(polys, packed, ring_, stats):
     not the last takes a reduction step, and every step is charged to
     ``stats``, the completion's ``RunStats``, so the loop ends.  Its
     signature is ``_canonicalize``'s, so that a test can patch one for the
-    other: ``packed`` is not read, ``polys`` may come in any order and,
-    over QQ, as integer polynomials, and the order key is read off the ring.
+    other: the entries of ``packed`` are unpacked, may come in any order
+    and, over QQ, as integer polynomials, and the order key is read off the
+    ring.
     """
+    polys = [_unpacked(ring, [(c, K, E), *tail]) for E, K, c, _, tail, ring in packed]
     key = monomial_key(ring_.order)
     normalize, _ = _domain_rules(ring_)
     G = [normalize(change_domain(g, ring_.domain)) for g in polys if not g.is_zero]
@@ -543,7 +573,7 @@ def fixed_point_canonicalize(polys, packed, ring_, stats):
         stable = True
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
-            _, r = _reduce(kept[i], _Packed(ring_, others), stats.step)
+            r = _unpacked(ring_, _reduce(kept[i], _Packed(ring_, others), stats.step)[1])
             r = normalize(r)
             if r != kept[i]:
                 stable = False

@@ -32,10 +32,15 @@ from modgrob import (
     buchberger_z,
     groebner,
 )
-from modgrob.groebner import _basis_over_q
+from modgrob.groebner import _basis_over_q, _Packed
 from modgrob.parser import parse_polynomial
 from modgrob.polyring import change_domain, monomial_key, ring, with_domain
-from reference import canonicalize_list, fixed_point_canonicalize, fraction_canonicalize
+from reference import (
+    canonicalize_list,
+    dividend_polynomial,
+    fixed_point_canonicalize,
+    fraction_canonicalize,
+)
 from test_pair_counts import CERTIFY_PREFIXES
 
 ORDERS = [Lex(), DegRevLex(), Block((0,), Lex(), DegRevLex()),
@@ -100,12 +105,13 @@ def test_one_pass_matches_fixed_point(gens):
                          ids=["canonical-residue", "reducible"])
 def test_only_a_reducible_tail_is_reduced(monkeypatch, gens, reduced):
     """``_canonicalize`` calls ``_reduce`` on an element only when another
-    lead reduces a tail term of it; both bases are <y + x, 2x>."""
+    lead reduces a tail term of it; both bases are <y + x, 2x>.  It hands
+    ``_reduce`` the element's packed terms, unpacked here."""
     reduce = groebner._reduce
     calls = []
 
     def spying_reduce(f, reducers, step, pseudo=False):
-        calls.append(str(f))
+        calls.append(str(dividend_polynomial(f)))
         return reduce(f, reducers, step, pseudo)
 
     monkeypatch.setattr(groebner, "_reduce", spying_reduce)
@@ -139,7 +145,7 @@ def test_completion_and_basis_over_q_match_references(gens):
     q_ring = with_domain(ring_, QQ)
     images = [change_domain(g, QQ) for g in basis]
     expected_stats, stats = BUDGET(), BUDGET()
-    expected = fixed_point_canonicalize(images, None, q_ring, expected_stats)
+    expected = fixed_point_canonicalize(_Packed(q_ring, images), q_ring, expected_stats)
     q_basis = _basis_over_q(basis, stats)
     assert q_basis.ring == q_ring
     assert q_basis.elements == expected.elements

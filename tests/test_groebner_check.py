@@ -158,15 +158,16 @@ def test_pair_builders_run_once_per_charged_pair(monkeypatch, run, s_pairs, g_pa
     """``_Pairs`` builds each pair it charges with ``s_pair_z`` or
     ``g_pair_z``, looked up in ``groebner`` by name at the call: rebinding
     them counts what ``RunStats`` counts, in every completion, seeded or
-    not, and in the completeness check.  ``perfbench/spans.py`` counts
-    pairs that way.  The pair budget is exactly enough."""
+    not, and in the completeness check, each with the pair's packed lcm.
+    ``perfbench/spans.py`` counts pairs that way.  The pair budget is
+    exactly enough."""
     built = dict.fromkeys(("s_pair_z", "g_pair_z"), 0)
     for name in built:
         original = getattr(groebner, name)
 
-        def counting(f, g, name=name, original=original):
+        def counting(f, g, lcm, name=name, original=original):
             built[name] += 1
-            return original(f, g)
+            return original(f, g, lcm)
 
         monkeypatch.setattr(groebner, name, counting)
     stats = RunStats()

@@ -283,18 +283,39 @@ def test_completion_builds_no_tuple_pair(monkeypatch):
     assert calls == {"_combine": 0, "_from_sums": 0}
 
 
+def test_completion_unpacks_only_the_basis_it_returns(monkeypatch):
+    """Completion keeps every element packed, remainders included, and
+    ``_canonicalize`` unpacks each element it returns once: while
+    ``buchberger_z`` completes katsura3 over ZZ, ``_unpacked`` runs 12
+    times for the 12 elements of the basis.  When remainders came back from
+    ``_reduce`` as tuple Polynomials, each of them was unpacked."""
+    unpacked = []
+    original = groebner._unpacked
+
+    def counting(ring_, terms):
+        unpacked.append(terms)
+        return original(ring_, terms)
+
+    monkeypatch.setattr(groebner, "_unpacked", counting)
+    basis = buchberger_z(katsura(3, ZZ))
+    assert len(unpacked) == len(basis) == 12
+    assert [g.terms for g in basis] == [
+        tuple(original(basis.ring, terms).terms) for terms in unpacked]
+
+
 def test_seeded_completion_packs_each_element_once(monkeypatch):
     """A seeded completion joins its seed unreduced, and ``_canonicalize``
     works on completion's packed reducer list: ``_extend_mod_m`` of the
     strong basis of katsura2 at m = 9 reduces no seed element to join it,
-    and packs each of the 11 joined elements once, plus each of the 3
-    elements a tail reduction changes.  Reducing each of the 6 seed elements
-    to join it, and packing every kept element again, took 19 packings.
-    ``_Pairs`` is handed each element's packed entry, and the reductions
-    charged to the completion take pair dividends besides Polynomials."""
+    and builds an entry for each of the 11 joined elements once, plus each
+    of the 3 elements a tail reduction changes.  Reducing each of the 6 seed
+    elements to join it, and packing every kept element again, took 19
+    packings.  ``_Pairs`` is handed each element's packed entry, and the
+    reductions charged to the completion take pair dividends besides
+    Polynomials."""
     basis = buchberger_z(katsura(2, ZZ))
     seed_entries = list(groebner._Packed(basis.ring, basis.elements))
-    reduce, pack, add = groebner._reduce, groebner._Packed.pack, groebner._Pairs.add
+    reduce, entry, add = groebner._reduce, groebner._entry, groebner._Pairs.add
     stats = RunStats()
     reduced, tail_reduced, packed, joined = [], [], [], []
 
@@ -302,16 +323,16 @@ def test_seeded_completion_packs_each_element_once(monkeypatch):
         (reduced if step == stats.reduction else tail_reduced).append(f)
         return reduce(f, reducers, step, pseudo)
 
-    def spying_pack(self, g):
-        packed.append(g)
-        return pack(self, g)
+    def spying_entry(ring_, terms):
+        packed.append(terms)
+        return entry(ring_, terms)
 
     def spying_add(self, entry):
         joined.append(entry)
         return add(self, entry)
 
     monkeypatch.setattr(groebner, "_reduce", spying_reduce)
-    monkeypatch.setattr(groebner._Packed, "pack", spying_pack)
+    monkeypatch.setattr(groebner, "_entry", spying_entry)
     monkeypatch.setattr(groebner._Pairs, "add", spying_add)
     groebner._extend_mod_m(basis, 9, stats)
     assert not set(basis.elements) & {f for f in reduced if isinstance(f, Polynomial)}

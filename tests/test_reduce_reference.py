@@ -32,7 +32,15 @@ from modgrob import (
     s_pair_z,
 )
 from modgrob.groebner import _Packed, _reduce
-from modgrob.polyring import _MAX_EXPONENT, change_domain, poly_add, poly_mul, poly_scale, ring
+from modgrob.polyring import (
+    _MAX_EXPONENT,
+    _unpacked,
+    change_domain,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    ring,
+)
 from reference import reference_reduce
 
 F7 = ModularDomain(7)
@@ -77,14 +85,14 @@ def test_normal_form_matches_reference(problem):
 def test_pseudo_division_is_the_qq_reduction_scaled(problem):
     """_reduce(f, R, step, pseudo=True) returns (k, r) with r = k times the
     normal form over QQ, in as many steps: each pseudo step is the QQ step
-    scaled by a nonzero integer."""
+    scaled by a nonzero integer.  Both remainders come packed."""
     f, reducers = problem
     over_z, over_q = RunStats(), RunStats()
     k, r = _reduce(f, _Packed(f.ring, reducers), over_z.step, pseudo=True)
     f_q, reducers_q = change_domain(f, QQ), [change_domain(g, QQ) for g in reducers]
     _, r_q = _reduce(f_q, _Packed(f_q.ring, reducers_q), over_q.step)
     assert k != 0
-    assert change_domain(r, QQ) == poly_scale(r_q, k)
+    assert change_domain(_unpacked(f.ring, r), QQ) == poly_scale(_unpacked(f_q.ring, r_q), k)
     assert over_z.steps == over_q.steps
 
 
@@ -128,7 +136,9 @@ def test_pairs_past_the_packed_fields_raise(order):
     total degree 2^63: building their S-pair raises, in completion, in the
     completeness check and in ``s_pair_z``.  When pairs were tuple
     polynomials, DegRevLex completion never packed that cancelled lead and
-    returned a basis; ``from_terms`` and the parser cap exponents at 2^31."""
+    returned a basis; ``from_terms`` and the parser cap exponents at 2^31.
+    Completion packs each lcm when it queues the pair, so with a pair
+    budget of 0, which no pair gets past, the queued pair raises first."""
     ring_ = ring(("x", "y"), order, ZZ)
     n = 2**62
     f = Polynomial(ring_, ((1, (n, 1)), (1, (0, 0))))
@@ -136,3 +146,6 @@ def test_pairs_past_the_packed_fields_raise(order):
     for build in (buchberger_z, is_groebner_basis, lambda pair: s_pair_z(*pair)):
         with pytest.raises(ExponentOverflow):
             build([f, g])
+    for queue in (buchberger_z, is_groebner_basis):
+        with pytest.raises(ExponentOverflow):
+            queue([f, g], RunStats(max_pairs=0))
